@@ -18,16 +18,21 @@ from .harness import (
 )
 
 
-def _apply_seed(scenario, seed):
-    return scenario if seed is None else replace(scenario, seed=int(seed))
+def _load(args) -> Campaign:
+    """The file's campaign, or its scenario as a one-trial campaign, with
+    `--seed` applied on the verbs that take it."""
+    scenario, settings, campaign = load_file(args.file)
+    if campaign is None:
+        campaign = Campaign(scenario=scenario, settings=settings, trials=1)
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        return campaign
+    return replace(campaign, scenario=replace(campaign.scenario, seed=int(seed)))
 
 
 def _cmd_single_shot(args) -> int:
-    scenario, settings, campaign = load_file(args.file)
-    if campaign is not None:
-        scenario = campaign.scenario
-    scenario = _apply_seed(scenario, args.seed)
-    bundle = run_single_shot(scenario, settings, out_dir=args.out)
+    campaign = _load(args)
+    bundle = run_single_shot(campaign.scenario, campaign.settings, out_dir=args.out)
     if bundle.estimate is not None:
         print("source  coarse[deg]  range_init[wl]  refined[deg]  range[wl]  flags")
         for i, src in enumerate(bundle.estimate.sources, start=1):
@@ -48,16 +53,8 @@ def _cmd_single_shot(args) -> int:
     return 0
 
 
-def _as_campaign(scenario, settings, campaign) -> Campaign:
-    if campaign is not None:
-        return campaign
-    return Campaign(scenario=scenario, settings=settings, trials=1)
-
-
 def _cmd_campaign(args) -> int:
-    scenario, settings, campaign = load_file(args.file)
-    campaign = _as_campaign(scenario, settings, campaign)
-    campaign = replace(campaign, scenario=_apply_seed(campaign.scenario, args.seed))
+    campaign = _load(args)
     if args.trials is not None:
         campaign = replace(campaign, trials=int(args.trials))
     out = args.out or campaign.out_dir
@@ -84,19 +81,13 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_crb(args) -> int:
-    scenario, settings, campaign = load_file(args.file)
-    campaign = _as_campaign(scenario, settings, campaign)
-    campaign = replace(campaign, scenario=_apply_seed(campaign.scenario, args.seed))
-    path = write_crb_csv(campaign, args.out)
+    path = write_crb_csv(_load(args), args.out)
     print(f"bounds written to {path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    scenario, _, campaign = load_file(args.file)
-    if campaign is not None:
-        scenario = campaign.scenario
-    checks = validate_scenario(scenario)
+    checks = validate_scenario(_load(args).scenario)
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")

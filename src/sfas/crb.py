@@ -30,7 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import ArrayConfig, SourceTruth, array_center, element_positions
+from .geometry import (
+    ArrayConfig,
+    SourceTruth,
+    _manifold_from_positions,
+    array_center,
+    element_positions,
+)
 
 __all__ = [
     "FisherBlock",
@@ -43,7 +49,6 @@ __all__ = [
 ]
 
 _SINGULAR_COND = 1e12
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,7 @@ def _steering_and_jacobian(
     dist = np.sqrt(r * r + q * q - 2.0 * r * q * sin_t)
     d0 = dist[0]
 
-    vec = (d0 / dist) * np.exp(1j * TWO_PI * (dist - d0))
-    vec[0] = 1.0 + 0.0j
+    vec = _manifold_from_positions([source.angle], [r], q)[:, 0]
 
     # (d ddist/dtheta at ref)/d0 - (ddist/dtheta)/d, factored through
     # q/d^2 - q0/d0^2 = (q - q0)(r^2 - q q0) / (d0^2 d^2)

@@ -16,7 +16,8 @@ shared by every configuration of the same physical array.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -88,6 +89,26 @@ class EstimatorSettings:
     pass2_range_fraction: float = 0.001
     min_peak_separation_deg: float = 1.0
     flat_spectrum_ratio: float = 3.0
+
+    def __post_init__(self):
+        steps = (
+            "angle_step_deg", "window_angle_deg", "pass1_angle_step_deg",
+            "pass1_range_fraction", "pass2_angle_step_deg", "pass2_range_fraction",
+        )
+        rules = [(getattr(self, n) > 0.0, f"{n} > 0 (got {getattr(self, n)})") for n in steps]
+        rules += [
+            (self.range_points >= 2, f"range_points >= 2 (got {self.range_points})"),
+            (0.0 < self.range_min < self.range_max,
+             f"0 < range_min < range_max (got {self.range_min}, {self.range_max})"),
+            (0.0 < self.window_range_fraction < 1.0,
+             f"0 < window_range_fraction < 1 (got {self.window_range_fraction})"),
+            (-90.0 <= self.angle_min_deg < self.angle_max_deg <= 90.0,
+             f"-90 <= angle_min_deg < angle_max_deg <= 90 "
+             f"(got {self.angle_min_deg}, {self.angle_max_deg})"),
+        ]
+        broken = [rule for ok, rule in rules if not ok]
+        if broken:
+            raise ValueError("settings must satisfy " + "; ".join(broken))
 
     def angle_grid_deg(self) -> np.ndarray:
         return _step_grid(self.angle_min_deg, self.angle_max_deg, self.angle_step_deg)
@@ -200,16 +221,27 @@ def find_spectrum_peaks(
     interior = np.flatnonzero(
         (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
     ) + 1
-    order = sorted(interior, key=lambda i: (-values[i], axis[i]))
-    accepted: list[int] = []
+    return np.sort(axis[_accept_peaks(interior, values, axis, count, min_separation)])
+
+
+def _accept_peaks(candidates, values, angles, count: int, min_separation: float) -> list:
+    """Greedy peak policy shared by the 1-D and 2-D searches.
+
+    Candidates (indices into `values` and `angles`) are taken by decreasing
+    value, ties toward the smaller angle; one closer than `min_separation`
+    in angle to an accepted peak is a sidelobe.  Returns the accepted
+    indices, or raises UnderResolutionError with the angles of those found.
+    """
+    order = sorted(candidates, key=lambda i: (-values[i], angles[i]))
+    accepted: list = []
     for i in order:
-        if all(abs(axis[i] - axis[j]) >= min_separation - 1e-12 for j in accepted):
+        if all(abs(angles[i] - angles[j]) >= min_separation - 1e-12 for j in accepted):
             accepted.append(i)
             if len(accepted) == count:
                 break
     if len(accepted) < count:
-        raise UnderResolutionError(count, np.sort(axis[accepted]))
-    return np.sort(axis[accepted])
+        raise UnderResolutionError(count, np.sort(angles[accepted]))
+    return accepted
 
 
 def stage1_music(
@@ -403,12 +435,14 @@ def _refine_search(
     return RefineResult(angle, rng, pass1, boundary_hit)
 
 
-def _music_denominator_fn(decomp: SubspaceDecomposition, config: ArrayConfig):
-    def fn(angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+def _grid_cost(column_cost, config: ArrayConfig):
+    """Cost function of (angles_rad, ranges) over their mesh, shape
+    (angles, ranges): `column_cost` maps the (M, G) exact-geometry manifold
+    to G values (the MUSIC denominator or the rank-reduction eigenvalue)."""
+    def fn(angles_rad: np.ndarray, ranges) -> np.ndarray:
         mesh_t, mesh_r = np.meshgrid(angles_rad, ranges, indexing="ij")
         manifold = esg_manifold_centered(mesh_t.ravel(), mesh_r.ravel(), config)
-        denom = _noise_quadratic(decomp.noise_basis, manifold)
-        return denom.reshape(len(angles_rad), len(ranges))
+        return column_cost(manifold).reshape(len(angles_rad), len(ranges))
 
     return fn
 
@@ -426,7 +460,7 @@ def stage2_refine(
     and |range - initial| <= window_range_fraction * initial.
     """
     return _refine_search(
-        _music_denominator_fn(decomp_extended, config_extended),
+        _grid_cost(partial(_noise_quadratic, decomp_extended.noise_basis), config_extended),
         coarse_angle_deg,
         initial_range,
         settings,
@@ -460,6 +494,12 @@ def _mc_min_eigenvalues(
     return np.linalg.eigvalsh(quad)[:, 0].real
 
 
+def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
+    if band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
+    return _grid_cost(lambda manifold: _mc_min_eigenvalues(decomp, manifold, band), config)
+
+
 def mc_music_spectrum(
     decomp_extended: SubspaceDecomposition,
     angle_deg: float,
@@ -473,13 +513,8 @@ def mc_music_spectrum(
     banded symmetric coupling of bandwidth <= `band`, so the spectrum peaks
     there regardless of the unknown coupling coefficients.
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    manifold = esg_manifold_centered(
-        np.array([np.deg2rad(angle_deg)]), np.array([float(range_wl)]), config_extended
-    )
-    lam = _mc_min_eigenvalues(decomp_extended, manifold, band)
-    return float(_spectrum(lam)[0])
+    cost = _mc_cost(decomp_extended, band, config_extended)
+    return float(_spectrum(cost([np.deg2rad(angle_deg)], [float(range_wl)]))[0, 0])
 
 
 def mc_music_refine(
@@ -491,16 +526,9 @@ def mc_music_refine(
     settings: EstimatorSettings = EstimatorSettings(),
 ) -> RefineResult:
     """Windowed 2-D refinement maximizing the coupling-robust spectrum."""
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-
-    def denominator(angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        mesh_t, mesh_r = np.meshgrid(angles_rad, ranges, indexing="ij")
-        manifold = esg_manifold_centered(mesh_t.ravel(), mesh_r.ravel(), config_extended)
-        lam = _mc_min_eigenvalues(decomp_extended, manifold, band)
-        return lam.reshape(len(angles_rad), len(ranges))
-
-    return _refine_search(denominator, coarse_angle_deg, initial_range, settings)
+    return _refine_search(
+        _mc_cost(decomp_extended, band, config_extended), coarse_angle_deg, initial_range, settings
+    )
 
 
 def baseline_ff_music(
@@ -540,17 +568,14 @@ def oracle_2d_music(
         angle_grid_deg = settings.angle_grid_deg()
     if range_grid is None:
         range_grid = settings.range_grid()
+    angle_grid_deg = np.asarray(angle_grid_deg, float)
     decomp = decompose(sample_covariance(block_extended), source_count)
+    cost = _grid_cost(partial(_noise_quadratic, decomp.noise_basis), block_extended.config)
     angles_rad = np.deg2rad(angle_grid_deg)
     denom = np.empty((len(angle_grid_deg), len(range_grid)))
     chunk = max(1, 131072 // len(range_grid))
     for start in range(0, len(angles_rad), chunk):
-        part = angles_rad[start : start + chunk]
-        mesh_t, mesh_r = np.meshgrid(part, range_grid, indexing="ij")
-        manifold = esg_manifold_centered(mesh_t.ravel(), mesh_r.ravel(), block_extended.config)
-        denom[start : start + chunk, :] = _noise_quadratic(
-            decomp.noise_basis, manifold
-        ).reshape(len(part), len(range_grid))
+        denom[start : start + chunk, :] = cost(angles_rad[start : start + chunk], range_grid)
     values = _spectrum(denom)
 
     core = values[1:-1, 1:-1]
@@ -564,27 +589,15 @@ def oracle_2d_music(
     cand_i, cand_j = np.nonzero(mask)
     cand_i += 1
     cand_j += 1
-    order = sorted(
-        range(len(cand_i)),
-        key=lambda n: (-values[cand_i[n], cand_j[n]], angle_grid_deg[cand_i[n]]),
+    accepted = _accept_peaks(
+        range(len(cand_i)), values[cand_i, cand_j], angle_grid_deg[cand_i],
+        source_count, min_peak_separation_deg,
     )
-    accepted: list[tuple[float, float]] = []
-    for n in order:
-        ang = float(angle_grid_deg[cand_i[n]])
-        if all(abs(ang - a) >= min_peak_separation_deg - 1e-12 for a, _ in accepted):
-            accepted.append((ang, float(range_grid[cand_j[n]])))
-            if len(accepted) == source_count:
-                break
-    if len(accepted) < source_count:
-        raise UnderResolutionError(
-            source_count, np.sort([a for a, _ in accepted])
-        )
+    pairs = [(float(angle_grid_deg[cand_i[n]]), float(range_grid[cand_j[n]])) for n in accepted]
     grid = SpectrumGrid(
-        (np.asarray(angle_grid_deg, float), np.asarray(range_grid, float)),
-        ("angle_deg", "range_wl"),
-        values,
+        (angle_grid_deg, np.asarray(range_grid, float)), ("angle_deg", "range_wl"), values
     )
-    return sorted(accepted), grid
+    return sorted(pairs), grid
 
 
 @dataclass(frozen=True)
@@ -671,7 +684,32 @@ def two_stage_localize(
     With `mc_band` set, the 2-D refinement uses the coupling-robust
     rank-reduction spectrum instead of the plain exact-geometry one.
     """
-    _, coarse = stage1_music(
+    return _two_stage(
+        block_compressed, block_extended, source_count, trim, settings, mc_band, _Spectra()
+    )
+
+
+@dataclass
+class _Spectra:
+    """Spectra a two-stage run computes on its way: the stage-1 scan, the
+    range scans and the pass-1 refinement patches.  Filled in as they
+    appear, so a run that fails part-way keeps the ones it reached."""
+
+    stage1: SpectrumGrid | None = None
+    range_scans: list[SpectrumGrid] = field(default_factory=list)
+    refine_patches: list[SpectrumGrid] = field(default_factory=list)
+
+
+def _two_stage(
+    block_compressed: SnapshotBlock,
+    block_extended: SnapshotBlock,
+    source_count: int,
+    trim: int,
+    settings: EstimatorSettings,
+    mc_band: int | None,
+    spectra: _Spectra,
+) -> LocalizationEstimate:
+    spectra.stage1, coarse = stage1_music(
         block_compressed,
         trim,
         source_count,
@@ -680,28 +718,23 @@ def two_stage_localize(
     )
     decomp = decompose(sample_covariance(block_extended), source_count)
     range_grid = settings.range_grid()
+    config = block_extended.config
     results = []
-    for angle in coarse:
+    for angle in map(float, coarse):
         search = stage2_range_search(
-            decomp,
-            float(angle),
-            range_grid,
-            block_extended.config,
-            settings.flat_spectrum_ratio,
+            decomp, angle, range_grid, config, settings.flat_spectrum_ratio
         )
+        spectra.range_scans.append(search.spectrum)
         if mc_band is None:
-            refined = stage2_refine(
-                decomp, float(angle), search.initial_range,
-                block_extended.config, settings,
-            )
+            refined = stage2_refine(decomp, angle, search.initial_range, config, settings)
         else:
             refined = mc_music_refine(
-                decomp, float(angle), search.initial_range,
-                mc_band, block_extended.config, settings,
+                decomp, angle, search.initial_range, mc_band, config, settings
             )
+        spectra.refine_patches.append(refined.spectrum)
         results.append(
             SourceEstimate(
-                coarse_angle_deg=float(angle),
+                coarse_angle_deg=angle,
                 initial_range=search.initial_range,
                 refined_angle_deg=refined.angle_deg,
                 refined_range=refined.range_wl,

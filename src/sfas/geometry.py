@@ -176,10 +176,9 @@ def esg_steering(source: SourceTruth, config: ArrayConfig) -> np.ndarray:
     from the source to element m.  The first entry is exactly 1 because the
     reference element sits at the origin.
     """
-    dist = esg_distance(source, element_positions(config))
-    vec = (source.range / dist) * np.exp(1j * TWO_PI * (dist - source.range))
-    vec[0] = 1.0 + 0.0j
-    return vec
+    positions = element_positions(config)
+    esg_distance(source, positions)  # rejects a source on top of an element
+    return _manifold_from_positions([source.angle], [source.range], positions)[:, 0]
 
 
 def ff_steering(angle: float, config: ArrayConfig) -> np.ndarray:

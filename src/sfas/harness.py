@@ -14,7 +14,8 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +28,14 @@ from .estimators import (
     DegenerateSubspaceError,
     EstimatorSettings,
     LocalizationEstimate,
-    SourceEstimate,
     SpectrumGrid,
     UnderResolutionError,
+    _Spectra,
+    _two_stage,
     baseline_ff_music,
-    decompose,
     find_spectrum_peaks,
-    mc_music_refine,
     oracle_2d_music,
     pair_estimates,
-    stage1_music,
-    stage2_range_search,
-    stage2_refine,
     two_stage_localize,
 )
 from .geometry import (
@@ -53,7 +50,6 @@ from .simulate import (
     generate_snapshots_baseline,
     generate_snapshots_compressed,
     generate_snapshots_extended,
-    sample_covariance,
 )
 
 __all__ = [
@@ -71,8 +67,9 @@ __all__ = [
     "ESTIMATOR_NAMES",
 ]
 
-ESTIMATOR_NAMES = ("two_stage", "two_stage_mc", "baseline_ff_music", "oracle_2d")
 SWEEP_AXES = ("snr_db", "snapshots", "none")
+# Columns of rmse.csv and crb.csv, so bound curves overlay the RMSE rows.
+_LONG_FORM_HEADER = ["sweep_value", "estimator", "source", "metric", "value"]
 
 
 class ScenarioFileError(ValueError):
@@ -149,70 +146,27 @@ class RmseRecord:
 # Scenario / campaign files
 
 
-def _coupling_to_dict(model: CouplingModel) -> dict:
-    return {
-        "reference_strength": model.reference_strength,
-        "decay": model.decay,
-        "phase_offset": model.phase_offset,
-        "band": model.band,
-        "symmetric": model.symmetric,
-    }
+def _coerce(default, value):
+    """`value` as the type of the field's default; a None default (`trim`)
+    takes an int or None."""
+    if default is None:
+        return None if value is None else int(value)
+    return type(default)(value)
 
 
-def _coupling_from_dict(raw: dict, where: str, problems: list[str]) -> CouplingModel:
-    known = {"reference_strength", "decay", "phase_offset", "band", "symmetric"}
+def _fields_from_dict(cls, raw: dict, where: str, problems: list[str]):
+    """Build `cls` (settings or coupling) from a file section, field by
+    field; omitted keys keep their defaults, problems go to `problems`."""
+    defaults = cls()
+    names = [f.name for f in fields(cls)]
     for key in raw:
-        if key not in known:
+        if key not in names:
             problems.append(f"{where}: unknown key {key!r}")
     try:
-        return CouplingModel(
-            reference_strength=float(raw.get("reference_strength", 0.3)),
-            decay=float(raw.get("decay", 1.0)),
-            phase_offset=float(raw.get("phase_offset", 0.0)),
-            band=int(raw.get("band", 2)),
-            symmetric=bool(raw.get("symmetric", False)),
-        )
+        return cls(**{n: _coerce(getattr(defaults, n), raw[n]) for n in names if n in raw})
     except (TypeError, ValueError) as exc:
         problems.append(f"{where}: {exc}")
-        return CouplingModel()
-
-
-def _settings_to_dict(settings: EstimatorSettings) -> dict:
-    return {
-        "trim": settings.trim,
-        "angle_min_deg": settings.angle_min_deg,
-        "angle_max_deg": settings.angle_max_deg,
-        "angle_step_deg": settings.angle_step_deg,
-        "range_min": settings.range_min,
-        "range_max": settings.range_max,
-        "range_points": settings.range_points,
-        "window_angle_deg": settings.window_angle_deg,
-        "window_range_fraction": settings.window_range_fraction,
-        "pass1_angle_step_deg": settings.pass1_angle_step_deg,
-        "pass1_range_fraction": settings.pass1_range_fraction,
-        "pass2_angle_step_deg": settings.pass2_angle_step_deg,
-        "pass2_range_fraction": settings.pass2_range_fraction,
-        "min_peak_separation_deg": settings.min_peak_separation_deg,
-        "flat_spectrum_ratio": settings.flat_spectrum_ratio,
-    }
-
-
-def _settings_from_dict(raw: dict, problems: list[str]) -> EstimatorSettings:
-    defaults = _settings_to_dict(EstimatorSettings())
-    for key in raw:
-        if key not in defaults:
-            problems.append(f"estimator: unknown key {key!r}")
-    merged = {**defaults, **{k: v for k, v in raw.items() if k in defaults}}
-    trim = merged.pop("trim")
-    try:
-        return EstimatorSettings(
-            trim=None if trim is None else int(trim),
-            range_points=int(merged.pop("range_points")),
-            **{k: float(v) for k, v in merged.items()},
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"estimator: {exc}")
-        return EstimatorSettings()
+        return defaults
 
 
 def scenario_to_dict(scenario: Scenario, settings: EstimatorSettings | None = None) -> dict:
@@ -231,15 +185,13 @@ def scenario_to_dict(scenario: Scenario, settings: EstimatorSettings | None = No
             {"angle_deg": src.angle_deg, "range": src.range, "power": src.power}
             for src in scenario.sources
         ],
-        "coupling": _coupling_to_dict(scenario.coupling),
+        "coupling": asdict(scenario.coupling),
         "extended_coupling": (
-            None
-            if scenario.coupling_extended is None
-            else _coupling_to_dict(scenario.coupling_extended)
+            None if scenario.coupling_extended is None else asdict(scenario.coupling_extended)
         ),
     }
     if settings is not None:
-        out["estimator"] = _settings_to_dict(settings)
+        out["estimator"] = asdict(settings)
     return out
 
 
@@ -290,10 +242,14 @@ def _scenario_from_dict(raw: dict, problems: list[str]) -> Scenario | None:
     if not sources:
         problems.append("sources: at least one source is required")
 
-    coupling = _coupling_from_dict(raw.get("coupling", {}) or {}, "coupling", problems)
+    coupling = _fields_from_dict(
+        CouplingModel, raw.get("coupling", {}) or {}, "coupling", problems
+    )
     ext_raw = raw.get("extended_coupling")
     coupling_ext = (
-        None if ext_raw is None else _coupling_from_dict(ext_raw, "extended_coupling", problems)
+        None
+        if ext_raw is None
+        else _fields_from_dict(CouplingModel, ext_raw, "extended_coupling", problems)
     )
     if problems:
         return None
@@ -342,7 +298,9 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
 
     problems: list[str] = []
     scenario = _scenario_from_dict(raw, problems)
-    settings = _settings_from_dict(raw.get("estimator", {}) or {}, problems)
+    settings = _fields_from_dict(
+        EstimatorSettings, raw.get("estimator", {}) or {}, "estimator", problems
+    )
     campaign = None
     camp_raw = raw.get("campaign")
     if camp_raw is not None and scenario is not None:
@@ -411,6 +369,11 @@ def _write_csv(path, header: list[str], rows, metadata: dict) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_manifest(out_dir: Path, meta: dict, outputs: list[str]) -> None:
+    manifest = {"version": __version__, "config": meta, "outputs": outputs}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid, metadata: dict) -> None:
@@ -493,86 +456,27 @@ def run_single_shot(
     except DegenerateSubspaceError as exc:
         errors.append(f"conventional baseline: {exc}")
 
-    stage1_proposed = None
+    spectra = _Spectra()
     estimate = None
-    range_spectra: list[SpectrumGrid] = []
-    refine_spectra: list[SpectrumGrid] = []
     try:
-        stage1_proposed, coarse = stage1_music(
-            block_c, trim, k, settings.angle_grid_deg(), settings.min_peak_separation_deg
-        )
-        decomp = decompose(sample_covariance(block_e), k)
-        per_source = []
-        for angle in coarse:
-            search = stage2_range_search(
-                decomp,
-                float(angle),
-                settings.range_grid(),
-                scenario.config_extended,
-                settings.flat_spectrum_ratio,
-            )
-            range_spectra.append(search.spectrum)
-            if mc_band is None:
-                refined = stage2_refine(
-                    decomp, float(angle), search.initial_range,
-                    scenario.config_extended, settings,
-                )
-            else:
-                refined = mc_music_refine(
-                    decomp, float(angle), search.initial_range,
-                    mc_band, scenario.config_extended, settings,
-                )
-            refine_spectra.append(refined.spectrum)
-            per_source.append(
-                SourceEstimate(
-                    coarse_angle_deg=float(angle),
-                    initial_range=search.initial_range,
-                    refined_angle_deg=refined.angle_deg,
-                    refined_range=refined.range_wl,
-                    range_flat=search.flat_spectrum,
-                    boundary_hit=refined.boundary_hit,
-                )
-            )
-        estimate = LocalizationEstimate(
-            tuple(per_source), settings.window_angle_deg, settings.window_range_fraction
-        )
+        estimate = _two_stage(block_c, block_e, k, trim, settings, mc_band, spectra)
     except (UnderResolutionError, DegenerateSubspaceError) as exc:
         errors.append(f"two-stage pipeline: {exc}")
 
     bundle = SingleShotBundle(
         scenario=scenario,
         settings=settings,
-        stage1_proposed=stage1_proposed,
+        stage1_proposed=spectra.stage1,
         stage1_conventional=stage1_conventional,
         conventional_peaks=conventional_peaks,
-        range_spectra=tuple(range_spectra),
-        refine_spectra=tuple(refine_spectra),
+        range_spectra=tuple(spectra.range_scans),
+        refine_spectra=tuple(spectra.refine_patches),
         estimate=estimate,
         errors=tuple(errors),
     )
     if out_dir is not None:
         _export_single_shot(bundle, Path(out_dir))
     return bundle
-
-
-def _estimate_to_dict(estimate: LocalizationEstimate | None) -> dict | None:
-    if estimate is None:
-        return None
-    return {
-        "window_angle_deg": estimate.window_angle_deg,
-        "window_range_fraction": estimate.window_range_fraction,
-        "sources": [
-            {
-                "coarse_angle_deg": s.coarse_angle_deg,
-                "initial_range": s.initial_range,
-                "refined_angle_deg": s.refined_angle_deg,
-                "refined_range": s.refined_range,
-                "range_flat": s.range_flat,
-                "boundary_hit": s.boundary_hit,
-            }
-            for s in estimate.sources
-        ],
-    }
 
 
 def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
@@ -596,7 +500,7 @@ def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
     record = {
         "version": __version__,
         "config": meta,
-        "estimate": _estimate_to_dict(bundle.estimate),
+        "estimate": None if bundle.estimate is None else asdict(bundle.estimate),
         "conventional_peaks_deg": [float(a) for a in bundle.conventional_peaks],
         "errors": list(bundle.errors),
     }
@@ -604,10 +508,7 @@ def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
         json.dumps(record, sort_keys=True, indent=2) + "\n"
     )
     written.append("estimate.json")
-    manifest = {"version": __version__, "config": meta, "outputs": sorted(written)}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    _write_manifest(out_dir, meta, sorted(written))
     return written
 
 
@@ -630,14 +531,51 @@ def _mc_band(scenario: Scenario) -> int:
     return max(1, model.band)
 
 
+def _two_stage_trial(scenario, settings, block_c, block_e, trial, mc=False):
+    trim = settings.resolve_trim(scenario.coupling.band)
+    band = _mc_band(scenario) if mc else None
+    est = two_stage_localize(block_c, block_e, scenario.source_count, trim, settings, band)
+    return _TrialOutcome(
+        True, "", est.coarse_angles_deg, est.refined_angles_deg, est.refined_ranges,
+        np.array([s.range_flat for s in est.sources]),
+    )
+
+
+def _baseline_trial(scenario, settings, block_c, block_e, trial):
+    k = scenario.source_count
+    block_b = generate_snapshots_baseline(scenario, trial)
+    grid = baseline_ff_music(block_b, k, settings.angle_grid_deg())
+    peaks = find_spectrum_peaks(grid.axes[0], grid.values, k, settings.min_peak_separation_deg)
+    return _TrialOutcome(True, "", None, peaks, None, None)
+
+
+def _oracle_trial(scenario, settings, block_c, block_e, trial):
+    k = scenario.source_count
+    pairs, _ = oracle_2d_music(
+        block_e, k, settings.angle_grid_deg(), settings.range_grid(),
+        settings.min_peak_separation_deg,
+    )
+    angles = np.array([a for a, _ in pairs])
+    ranges = np.array([r for _, r in pairs])
+    return _TrialOutcome(True, "", None, angles, ranges, np.zeros(k, dtype=bool))
+
+
+# name -> (trial function, reports ACC angles, reports ranges)
+_ESTIMATORS = {
+    "two_stage": (_two_stage_trial, True, True),
+    "two_stage_mc": (partial(_two_stage_trial, mc=True), True, True),
+    "baseline_ff_music": (_baseline_trial, False, False),
+    "oracle_2d": (_oracle_trial, False, True),
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
+
+
 def _run_trial(
     scenario: Scenario,
     settings: EstimatorSettings,
     estimators: tuple[str, ...],
     trial: int,
 ) -> dict[str, _TrialOutcome]:
-    k = scenario.source_count
-    trim = settings.resolve_trim(scenario.coupling.band)
     include_coupling = scenario.coupling_extended is not None
     block_c = generate_snapshots_compressed(scenario, trial)
     block_e = generate_snapshots_extended(scenario, include_coupling, trial)
@@ -645,31 +583,8 @@ def _run_trial(
     out: dict[str, _TrialOutcome] = {}
     for name in estimators:
         try:
-            if name in ("two_stage", "two_stage_mc"):
-                band = _mc_band(scenario) if name == "two_stage_mc" else None
-                est = two_stage_localize(block_c, block_e, k, trim, settings, band)
-                out[name] = _TrialOutcome(
-                    True, "", est.coarse_angles_deg, est.refined_angles_deg,
-                    est.refined_ranges,
-                    np.array([s.range_flat for s in est.sources]),
-                )
-            elif name == "baseline_ff_music":
-                block_b = generate_snapshots_baseline(scenario, trial)
-                grid = baseline_ff_music(block_b, k, settings.angle_grid_deg())
-                peaks = find_spectrum_peaks(
-                    grid.axes[0], grid.values, k, settings.min_peak_separation_deg
-                )
-                out[name] = _TrialOutcome(True, "", None, peaks, None, None)
-            else:  # oracle_2d
-                pairs, _ = oracle_2d_music(
-                    block_e, k, settings.angle_grid_deg(), settings.range_grid(),
-                    settings.min_peak_separation_deg,
-                )
-                angles = np.array([a for a, _ in pairs])
-                ranges = np.array([r for _, r in pairs])
-                out[name] = _TrialOutcome(
-                    True, "", None, angles, ranges, np.zeros(k, dtype=bool)
-                )
+            run = _ESTIMATORS[name][0]
+            out[name] = run(scenario, settings, block_c, block_e, trial)
         except (UnderResolutionError, DegenerateSubspaceError) as exc:
             out[name] = _TrialOutcome(False, str(exc), None, None, None, None)
     return out
@@ -694,8 +609,7 @@ def _aggregate(
     excluded = np.zeros(k, dtype=int)
     failed = 0
     dump_rows: list[list[str]] = []
-    has_acc = estimator in ("two_stage", "two_stage_mc")
-    has_range = estimator in ("two_stage", "two_stage_mc", "oracle_2d")
+    _, has_acc, has_range = _ESTIMATORS[estimator]
 
     for trial, res in enumerate(outcomes):
         if not res.ok:
@@ -768,6 +682,16 @@ def _aggregate(
     return record, dump_rows
 
 
+def _bounds(scenario: Scenario) -> tuple[CrbResult, CrbResult]:
+    """Bounds on the fixed half-wavelength baseline array (scale 1) and on
+    the extended configuration, at the scenario's snapshots and noise."""
+    crb1, crb2 = (
+        crb(scenario.sources, config, scenario.snapshots, scenario.noise_variance, centered=True)
+        for config in (scenario.config_compressed.with_scale(1.0), scenario.config_extended)
+    )
+    return crb1, crb2
+
+
 def _crb_rows(sweep_value: float, crb1: CrbResult, crb2: CrbResult) -> list[list[str]]:
     rows = []
 
@@ -836,20 +760,7 @@ def run_campaign(
         scenario = campaign.scenario_at(value)
         crb1 = crb2 = None
         if compute_crb and scenario.noise_variance > 0.0:
-            crb1 = crb(
-                scenario.sources,
-                scenario.config_compressed.with_scale(1.0),
-                scenario.snapshots,
-                scenario.noise_variance,
-                centered=True,
-            )
-            crb2 = crb(
-                scenario.sources,
-                scenario.config_extended,
-                scenario.snapshots,
-                scenario.noise_variance,
-                centered=True,
-            )
+            crb1, crb2 = _bounds(scenario)
 
         def trial_fn(trial: int) -> dict[str, _TrialOutcome]:
             return _run_trial(scenario, campaign.settings, campaign.estimators, trial)
@@ -873,12 +784,7 @@ def run_campaign(
     if out_dir is not None:
         out_dir = Path(out_dir)
         meta = campaign_to_dict(campaign)
-        _write_csv(
-            out_dir / "rmse.csv",
-            ["sweep_value", "estimator", "source", "metric", "value"],
-            rmse_rows,
-            meta,
-        )
+        _write_csv(out_dir / "rmse.csv", _LONG_FORM_HEADER, rmse_rows, meta)
         _write_csv(
             out_dir / "trial_errors.csv",
             [
@@ -889,14 +795,7 @@ def run_campaign(
             dump_rows,
             meta,
         )
-        manifest = {
-            "version": __version__,
-            "config": meta,
-            "outputs": ["rmse.csv", "trial_errors.csv"],
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        _write_manifest(out_dir, meta, ["rmse.csv", "trial_errors.csv"])
     return records
 
 
@@ -907,29 +806,9 @@ def write_crb_csv(campaign: Campaign, out_dir) -> Path:
         scenario = campaign.scenario_at(value)
         if scenario.noise_variance == 0.0:
             raise ScenarioFileError("CRB export needs a finite SNR")
-        crb1 = crb(
-            scenario.sources,
-            scenario.config_compressed.with_scale(1.0),
-            scenario.snapshots,
-            scenario.noise_variance,
-            centered=True,
-        )
-        crb2 = crb(
-            scenario.sources,
-            scenario.config_extended,
-            scenario.snapshots,
-            scenario.noise_variance,
-            centered=True,
-        )
-        rows.extend(_crb_rows(value, crb1, crb2))
-    out_dir = Path(out_dir)
-    path = out_dir / "crb.csv"
-    _write_csv(
-        path,
-        ["sweep_value", "estimator", "source", "metric", "value"],
-        rows,
-        campaign_to_dict(campaign),
-    )
+        rows.extend(_crb_rows(value, *_bounds(scenario)))
+    path = Path(out_dir) / "crb.csv"
+    _write_csv(path, _LONG_FORM_HEADER, rows, campaign_to_dict(campaign))
     return path
 
 

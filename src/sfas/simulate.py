@@ -184,13 +184,19 @@ def _channel_matrix(scenario: Scenario, config: ArrayConfig, model: CouplingMode
     return coupling_matrix(config, model) @ steering
 
 
+def _synthesize(
+    scenario: Scenario, trial: int, stage: str, config: ArrayConfig, model: CouplingModel | None
+) -> SnapshotBlock:
+    channel = _channel_matrix(scenario, config, model)
+    data = channel @ _signal_matrix(scenario, trial, stage)
+    data = data + _noise_matrix(scenario, trial, stage, config.element_count)
+    return SnapshotBlock(data, scenario.noise_variance, config)
+
+
 def generate_snapshots_compressed(scenario: Scenario, trial: int = 0) -> SnapshotBlock:
     """Coupled exact-geometry snapshots from the compressed configuration."""
     config = scenario.config_compressed
-    channel = _channel_matrix(scenario, config, scenario.coupling)
-    data = channel @ _signal_matrix(scenario, trial, "compressed")
-    data = data + _noise_matrix(scenario, trial, "compressed", config.element_count)
-    return SnapshotBlock(data, scenario.noise_variance, config)
+    return _synthesize(scenario, trial, "compressed", config, scenario.coupling)
 
 
 def generate_snapshots_extended(
@@ -203,14 +209,10 @@ def generate_snapshots_extended(
     extended spacing.  Signal and noise realizations are independent of the
     compressed stage (fresh streams), while the source positions are shared.
     """
-    config = scenario.config_extended
     model = None
     if include_coupling:
         model = scenario.coupling_extended or scenario.coupling
-    channel = _channel_matrix(scenario, config, model)
-    data = channel @ _signal_matrix(scenario, trial, "extended")
-    data = data + _noise_matrix(scenario, trial, "extended", config.element_count)
-    return SnapshotBlock(data, scenario.noise_variance, config)
+    return _synthesize(scenario, trial, "extended", scenario.config_extended, model)
 
 
 def generate_snapshots_baseline(scenario: Scenario, trial: int = 0) -> SnapshotBlock:
@@ -219,10 +221,7 @@ def generate_snapshots_baseline(scenario: Scenario, trial: int = 0) -> SnapshotB
     Reference data for the conventional far-field MUSIC comparison.
     """
     config = scenario.config_compressed.with_scale(1.0)
-    channel = _channel_matrix(scenario, config, None)
-    data = channel @ _signal_matrix(scenario, trial, "baseline")
-    data = data + _noise_matrix(scenario, trial, "baseline", config.element_count)
-    return SnapshotBlock(data, scenario.noise_variance, config)
+    return _synthesize(scenario, trial, "baseline", config, None)
 
 
 def sample_covariance(block: SnapshotBlock) -> CovarianceEstimate:
@@ -240,11 +239,12 @@ def sample_covariance(block: SnapshotBlock) -> CovarianceEstimate:
 # followed by row-major complex data (interleaved re/im pairs).
 _MAGIC = b"SFASBLK1"
 _HEADER = struct.Struct("<8sBIIddd")
+_DTYPES = {0: np.complex64, 1: np.complex128}
 
 
 def save_snapshot_block(block: SnapshotBlock, path, dtype=np.complex128) -> None:
     dtype = np.dtype(dtype)
-    code = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 1}[dtype]
+    code = {np.dtype(t): c for c, t in _DTYPES.items()}[dtype]
     header = _HEADER.pack(
         _MAGIC,
         code,
@@ -260,11 +260,20 @@ def save_snapshot_block(block: SnapshotBlock, path, dtype=np.complex128) -> None
 
 
 def load_snapshot_block(path) -> SnapshotBlock:
+    """Read a block written by :func:`save_snapshot_block`; a malformed file
+    raises ValueError naming the file."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, code, m, n, variance, scale, d0 = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not a snapshot block file")
-        dtype = {0: np.complex64, 1: np.complex128}[code]
-        data = np.frombuffer(fh.read(), dtype=dtype).reshape(m, n).astype(np.complex128)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, code, m, n, variance, scale, d0 = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise ValueError(f"{path} is not a snapshot block file")
+    if code not in _DTYPES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    dtype = np.dtype(_DTYPES[code])
+    payload = memoryview(raw)[_HEADER.size :]
+    if len(payload) != m * n * dtype.itemsize:
+        raise ValueError(f"{path}: {len(payload)} payload bytes do not hold {m}x{n} {dtype}")
+    data = np.frombuffer(payload, dtype=dtype).reshape(m, n).astype(np.complex128)
     return SnapshotBlock(data, variance, ArrayConfig(m, d0, scale))

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from sfas import estimators
 from sfas.cli import main as cli_main
-from sfas.estimators import EstimatorSettings
+from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
 from sfas.geometry import ArrayConfig, SourceTruth
 from sfas.harness import (
@@ -120,6 +123,55 @@ class TestScenarioFiles:
         second = load_file(out)
         assert first == second
 
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_settings_round_trip(self, data):
+        """Any valid settings and coupling survive dump -> load unchanged,
+        with int, None and bool fields keeping their types."""
+        angle_min = data.draw(st.floats(-90.0, 89.0))
+        range_min = data.draw(st.floats(0.0, 1e5, exclude_min=True))
+        positive = st.floats(0.0, 10.0, exclude_min=True)
+        settings = EstimatorSettings(
+            trim=data.draw(st.none() | st.integers(0, 10)),
+            angle_min_deg=angle_min,
+            angle_max_deg=data.draw(st.floats(angle_min, 90.0, exclude_min=True)),
+            angle_step_deg=data.draw(positive),
+            range_min=range_min,
+            range_max=data.draw(st.floats(range_min, 1e7, exclude_min=True)),
+            range_points=data.draw(st.integers(2, 5000)),
+            window_angle_deg=data.draw(positive),
+            window_range_fraction=data.draw(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            ),
+            pass1_angle_step_deg=data.draw(positive),
+            pass1_range_fraction=data.draw(positive),
+            pass2_angle_step_deg=data.draw(positive),
+            pass2_range_fraction=data.draw(positive),
+            min_peak_separation_deg=data.draw(st.floats(-10.0, 10.0)),
+            flat_spectrum_ratio=data.draw(st.floats(-10.0, 10.0)),
+        )
+        couplings = st.builds(
+            CouplingModel,
+            reference_strength=st.floats(0.0, 1.0, exclude_max=True),
+            decay=st.floats(-10.0, 10.0),
+            phase_offset=st.floats(-10.0, 10.0),
+            band=st.integers(0, 10),
+            symmetric=st.booleans(),
+        )
+        scenario = small_scenario(
+            coupling=data.draw(couplings),
+            coupling_extended=data.draw(st.none() | couplings),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            dump_scenario(scenario, path, settings=settings)
+            loaded = load_file(path)
+        assert loaded == (scenario, settings, None)
+        assert type(loaded[1].range_points) is int
+        assert loaded[1].trim is None or type(loaded[1].trim) is int
+        assert type(loaded[0].coupling.band) is int
+        assert type(loaded[0].coupling.symmetric) is bool
+
     def test_campaign_invariants(self):
         scen = small_scenario()
         with pytest.raises(ScenarioFileError, match="increasing"):
@@ -145,6 +197,22 @@ class TestSingleShot:
         record = json.loads((tmp_path / "out" / "estimate.json").read_text())
         assert len(record["estimate"]["sources"]) == 1
         assert record["config"]["seed"] == 5
+
+    def test_extended_failure_keeps_stage1_spectrum(self, tmp_path, monkeypatch):
+        """A degenerate extended block after a good stage 1 still exports the
+        stage-1 spectrum and records the failure instead of raising."""
+        real = estimators.decompose
+
+        def decompose(covariance, source_count):
+            if covariance.matrix.shape[0] == 32:  # full M=32 covariance, not stage 1's
+                raise DegenerateSubspaceError("forced")
+            return real(covariance, source_count)
+
+        monkeypatch.setattr(estimators, "decompose", decompose)
+        bundle = run_single_shot(small_scenario(), out_dir=tmp_path)
+        assert bundle.estimate is None
+        assert "two-stage pipeline: forced" in bundle.errors
+        assert (tmp_path / "stage1_proposed.csv").exists()
 
     def test_mixed_scene_refined_angles_tight(self, mixed_scenario):
         bundle = run_single_shot(mixed_scenario)
@@ -369,3 +437,24 @@ class TestCli:
         rc = cli_main(["validate", str(path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+        # Bad estimator settings: each violated key is named, exit code 2.
+        base = (SCENARIO_DIR / "single_shot_mixed.yaml").read_text()
+        cases = {
+            "angle_step_deg: 0": ["angle_step_deg"],
+            "range_points: 0": ["range_points"],
+            "range_min: -1": ["range_min"],
+            "range_min: 500.0, range_max: 50.0": ["range_min"],
+            "window_range_fraction: 1.0": ["window_range_fraction"],
+            "pass2_range_fraction: -0.001": ["pass2_range_fraction"],
+            "angle_min_deg: -95.0": ["angle_min_deg"],
+            "angle_min_deg: 10.0, angle_max_deg: -10.0": ["angle_min_deg"],
+            "angle_step_deg: 0, range_points: 1, window_angle_deg: -2.0":
+                ["angle_step_deg", "range_points", "window_angle_deg"],
+        }
+        for override, keys in cases.items():
+            path.write_text(f"{base}\nestimator: {{{override}}}\n")
+            for verb in ("single-shot", "validate"):
+                assert cli_main([verb, str(path)]) == 2, override
+                err = capsys.readouterr().err
+                assert "estimator:" in err and all(k in err for k in keys), (override, err)

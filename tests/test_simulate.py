@@ -268,3 +268,19 @@ class TestBinaryInterchange:
         path.write_bytes(b"NOTABLOCK" + b"\0" * 64)
         with pytest.raises(ValueError, match="not a snapshot block"):
             load_snapshot_block(path)
+
+        # Every other malformed block also fails with a ValueError naming the file.
+        block = SnapshotBlock(np.ones((2, 3), dtype=complex), 0.5, ArrayConfig(2))
+        save_snapshot_block(block, path)
+        good = path.read_bytes()
+        header = 8 + 1 + 4 + 4 + 3 * 8
+        cases = {
+            "truncated payload": good[:-1],
+            "extra payload": good + b"\0",
+            "short header": good[: header - 1],
+            "unknown dtype code": good[:8] + bytes([7]) + good[9:],
+        }
+        for raw in cases.values():
+            path.write_bytes(raw)
+            with pytest.raises(ValueError, match="junk.bin"):
+                load_snapshot_block(path)
