@@ -58,12 +58,14 @@ class CouplingModel:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.reference_strength < 1.0:
-            raise ValueError(
-                f"reference_strength must be in [0, 1), got {self.reference_strength}"
-            )
-        if self.band < 0:
-            raise ValueError(f"band must be >= 0, got {self.band}")
+        rules = [
+            (0.0 <= self.reference_strength < 1.0,
+             f"0 <= reference_strength < 1 (got {self.reference_strength})"),
+            (self.band >= 0, f"band >= 0 (got {self.band})"),
+        ]
+        broken = [rule for ok, rule in rules if not ok]
+        if broken:
+            raise ValueError("model must satisfy " + "; ".join(broken))
 
 
 def coupling_coefficient(lag: int, config: ArrayConfig, model: CouplingModel) -> complex:

@@ -97,6 +97,7 @@ class EstimatorSettings:
         )
         rules = [(getattr(self, n) > 0.0, f"{n} > 0 (got {getattr(self, n)})") for n in steps]
         rules += [
+            (self.trim is None or self.trim >= 0, f"trim >= 0 (got {self.trim})"),
             (self.range_points >= 2, f"range_points >= 2 (got {self.range_points})"),
             (0.0 < self.range_min < self.range_max,
              f"0 < range_min < range_max (got {self.range_min}, {self.range_max})"),
@@ -485,19 +486,36 @@ def _mc_transform_batch(manifold: np.ndarray, band: int) -> np.ndarray:
     return t
 
 
-def _mc_min_eigenvalues(
-    decomp: SubspaceDecomposition, manifold: np.ndarray, band: int
-) -> np.ndarray:
-    t = _mc_transform_batch(manifold, band)
-    proj = np.einsum("mn,gmp->gnp", decomp.noise_basis.conj(), t)
-    quad = np.einsum("gnp,gnq->gpq", proj.conj(), proj)
+def _mc_noise_stack(noise_basis: np.ndarray, band: int) -> np.ndarray:
+    """Rows [U_n^H S_q for q = 0..band], stacked ((band + 1)(M - K), M).
+
+    Column q of T is S_q a, with S_q the symmetric 0/1 matrix that sums the
+    -q and +q shifts (S_0 = I), so U_n^H T_q = (U_n^H S_q) a and the rows
+    U_n^H S_q = (S_q conj(U_n))^T are the transform of the noise columns.
+    """
+    t = _mc_transform_batch(noise_basis.conj(), band)
+    return t.transpose(2, 0, 1).reshape(-1, noise_basis.shape[0])
+
+
+def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int) -> np.ndarray:
+    """lambda_min(T^H U_n U_n^H T) per manifold column, with the projection
+    U_n^H T of every column and every q as one product with the stack."""
+    p = band + 1
+    proj = (noise_stack @ manifold).reshape(p, -1, manifold.shape[1])
+    quad = np.empty((manifold.shape[1], p, p), dtype=complex)
+    for i in range(p):
+        for j in range(i + 1):
+            quad[:, i, j] = np.einsum("ng,ng->g", proj[i].conj(), proj[j])
+            quad[:, j, i] = quad[:, i, j].conj()
     return np.linalg.eigvalsh(quad)[:, 0].real
 
 
 def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    return _grid_cost(lambda manifold: _mc_min_eigenvalues(decomp, manifold, band), config)
+    m = config.element_count
+    if not 1 <= band <= m - 1:
+        raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
+    stack = _mc_noise_stack(decomp.noise_basis, band)
+    return _grid_cost(lambda manifold: _mc_min_eigenvalues(stack, manifold, band), config)
 
 
 def mc_music_spectrum(

@@ -99,6 +99,11 @@ class Campaign:
             raise ScenarioFileError("a swept campaign needs at least one value")
         if len(values) > 1 and not all(b > a for a, b in zip(values, values[1:])):
             raise ScenarioFileError("sweep values must be strictly increasing")
+        whole = all(v >= 1 and float(v).is_integer() for v in values)
+        if self.sweep == "snapshots" and not whole:
+            raise ScenarioFileError(
+                f"snapshot sweep values must be whole numbers >= 1, got {list(values)}"
+            )
         if self.trials < 1:
             raise ScenarioFileError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
@@ -301,6 +306,13 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
     settings = _fields_from_dict(
         EstimatorSettings, raw.get("estimator", {}) or {}, "estimator", problems
     )
+    if scenario is not None and settings.trim is not None:
+        kept = scenario.config_compressed.element_count - 2 * settings.trim
+        if kept <= scenario.source_count:
+            problems.append(
+                f"estimator: trim {settings.trim} leaves {kept} central elements "
+                f"for {scenario.source_count} sources; need more than {scenario.source_count}"
+            )
     campaign = None
     camp_raw = raw.get("campaign")
     if camp_raw is not None and scenario is not None:

@@ -84,6 +84,11 @@ class Scenario:
                 f"{k} sources exceed the identifiability limit "
                 f"M - 2*band - 1 = {m - 2 * self.coupling.band - 1}"
             )
+        ext = self.coupling_extended
+        if ext is not None and ext.band > m - 1:
+            problems.append(
+                f"extended coupling band {ext.band} exceeds the largest lag {m - 1}"
+            )
         # Center-frame ranges must clear the half-aperture even when extended,
         # otherwise the source sits on top of the array.
         reach = array_center(self.config_extended)

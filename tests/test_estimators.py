@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
@@ -315,10 +316,41 @@ class TestMcMusic:
         assert abs(refined.angle_deg - 10.5) <= SETTINGS.window_angle_deg
         assert abs(refined.range_wl - 180.0) <= SETTINGS.window_range_fraction * 180.0
 
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_stacked_kernel_matches_einsum_oracle(self, data):
+        """The stacked-product kernel gives the smallest eigenvalue of the
+        einsum over the explicit transform T, for any orthonormal noise basis
+        and for random as well as exact-geometry columns."""
+        from sfas.estimators import _mc_min_eigenvalues, _mc_noise_stack, _mc_transform_batch
+
+        m = data.draw(st.integers(6, 40))
+        k = data.draw(st.integers(1, m - 1))
+        band = data.draw(st.integers(1, min(3, m - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = data.draw(st.integers(1, 24))
+        square = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        noise = np.linalg.qr(square)[0][:, k:]
+        if data.draw(st.booleans()):
+            manifold = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+        else:
+            config = ArrayConfig(m, 0.5, data.draw(st.sampled_from([0.2, 1.0, 2.0])))
+            angles = np.deg2rad(rng.uniform(-89.0, 89.0, cols))
+            manifold = esg_manifold_centered(angles, rng.uniform(m, 1e4, cols), config)
+
+        t = _mc_transform_batch(manifold, band)
+        proj = np.einsum("mn,gmp->gnp", noise.conj(), t)
+        lam = np.linalg.eigvalsh(np.einsum("gnp,gnq->gpq", proj.conj(), proj))
+        fast = _mc_min_eigenvalues(_mc_noise_stack(noise, band), manifold, band)
+        assert fast.shape == (cols,)
+        assert np.all(np.abs(fast - lam[:, 0]) <= 1e-12 * lam[:, -1])
+
     def test_band_must_be_positive(self, coupled_extended_scenario):
         dec, _ = extended_decomp(coupled_extended_scenario, include_coupling=True)
-        with pytest.raises(ValueError):
-            mc_music_spectrum(dec, 0.0, 100.0, 0, coupled_extended_scenario.config_extended)
+        config = coupled_extended_scenario.config_extended
+        for band in (0, config.element_count):
+            with pytest.raises(ValueError):
+                mc_music_spectrum(dec, 0.0, 100.0, band, config)
 
 
 class TestBaselineMusic:

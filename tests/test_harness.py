@@ -451,6 +451,8 @@ class TestCli:
             "angle_min_deg: 10.0, angle_max_deg: -10.0": ["angle_min_deg"],
             "angle_step_deg: 0, range_points: 1, window_angle_deg: -2.0":
                 ["angle_step_deg", "range_points", "window_angle_deg"],
+            "trim: -1": ["trim >= 0"],
+            "trim: 20": ["trim 20 leaves -8"],
         }
         for override, keys in cases.items():
             path.write_text(f"{base}\nestimator: {{{override}}}\n")
@@ -458,3 +460,23 @@ class TestCli:
                 assert cli_main([verb, str(path)]) == 2, override
                 err = capsys.readouterr().err
                 assert "estimator:" in err and all(k in err for k in keys), (override, err)
+
+        # Bad coupling and campaign sections: exit code 2 from the verb that
+        # would otherwise crash at run time, every violated rule named.
+        coupled = (SCENARIO_DIR / "coupled_extended_single_shot.yaml").read_text()
+        snapshots = (SCENARIO_DIR / "campaign_far_field_snapshots.yaml").read_text()
+        cases = [
+            (coupled.replace("band: 2\n  symmetric: true", "band: 40\n  symmetric: true"),
+             "single-shot", ["extended coupling band 40"]),
+            (snapshots.replace("[100, 200, 400, 800]", "[0.5, 100, 200]"),
+             "campaign", ["snapshot sweep values"]),
+            (base.replace("reference_strength: 0.3", "reference_strength: 1.5")
+             .replace("band: 2\n", "band: -1\n"),
+             "single-shot", ["reference_strength < 1", "band >= 0"]),
+        ]
+        for text, run_verb, keys in cases:
+            path.write_text(text)
+            for verb in (run_verb, "validate"):
+                assert cli_main([verb, str(path)]) == 2, keys
+                err = capsys.readouterr().err
+                assert all(k in err for k in keys), (keys, err)
