@@ -96,6 +96,16 @@ def _cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"threads must be a whole number >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfas",
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--out", type=Path, default=None)
     camp.add_argument("--seed", type=int, default=None)
     camp.add_argument("--trials", type=int, default=None, help="override trial count")
-    camp.add_argument("--threads", type=int, default=1, help="worker threads")
+    camp.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
     camp.set_defaults(fn=_cmd_campaign)
 
     crb_cmd = sub.add_parser("crb", help="export Cramer-Rao bound curves")

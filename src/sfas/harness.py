@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from ._blas import one_blas_thread
 from .coupling import CouplingModel, decoupling_residual, selection_matrix
 from .crb import CrbResult, crb
 from .estimators import (
@@ -424,6 +426,7 @@ class SingleShotBundle:
     errors: tuple[str, ...]
 
 
+@one_blas_thread()
 def run_single_shot(
     scenario: Scenario,
     settings: EstimatorSettings = EstimatorSettings(),
@@ -438,7 +441,8 @@ def run_single_shot(
     record.  Estimator failures are captured in the bundle, not raised.
     When the scenario declares extended-stage coupling the refinement
     defaults to the coupling-robust spectrum (pass `mc_band` to override
-    the assumed bandwidth).
+    the assumed bandwidth).  OpenBLAS runs at one thread meanwhile (see
+    `_blas`), so the artifacts do not depend on the host's core count.
     """
     k = scenario.source_count
     trim = settings.resolve_trim(scenario.coupling.band)
@@ -753,6 +757,7 @@ def _record_rows(record: RmseRecord) -> list[list[str]]:
     return rows
 
 
+@one_blas_thread()
 def run_campaign(
     campaign: Campaign,
     out_dir=None,
@@ -761,31 +766,39 @@ def run_campaign(
 ) -> list[RmseRecord]:
     """Monte-Carlo sweep with deterministic per-trial seeding.
 
-    Trials are independent and scheduled on a bounded thread pool; results
-    are reduced in trial order, so the outputs do not depend on `threads`.
-    Per-trial estimator failures are counted and excluded, never fatal.
+    Every (sweep cell, trial) of the campaign is scheduled on one bounded
+    thread pool of at most `threads` workers, with OpenBLAS held at one
+    thread meanwhile (see `_blas`), so the pool is the only parallelism.
+    Results are reduced in (cell, trial) order, so the outputs depend
+    neither on `threads` nor on the host's BLAS thread count.  Per-trial
+    estimator failures are counted and excluded, never fatal.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cells = [campaign.scenario_at(value) for value in campaign.values]
+    jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
+
+    def trial_fn(job: tuple[Scenario, int]) -> dict[str, _TrialOutcome]:
+        return _run_trial(job[0], campaign.settings, campaign.estimators, job[1])
+
+    workers = min(threads, len(jobs))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # The pool starts on every trial at once; the bounds overlap them.
+        pending = pool.map(trial_fn, jobs) if pool else map(trial_fn, jobs)
+        bounds = [
+            _bounds(scenario) if compute_crb and scenario.noise_variance > 0.0 else (None, None)
+            for scenario in cells
+        ]
+        outcomes = list(pending)
+
     records: list[RmseRecord] = []
     rmse_rows: list[list[str]] = []
     dump_rows: list[list[str]] = []
-    for value in campaign.values:
-        scenario = campaign.scenario_at(value)
-        crb1 = crb2 = None
-        if compute_crb and scenario.noise_variance > 0.0:
-            crb1, crb2 = _bounds(scenario)
-
-        def trial_fn(trial: int) -> dict[str, _TrialOutcome]:
-            return _run_trial(scenario, campaign.settings, campaign.estimators, trial)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(trial_fn, range(campaign.trials)))
-        else:
-            outcomes = [trial_fn(t) for t in range(campaign.trials)]
-
+    for i, (value, scenario, (crb1, crb2)) in enumerate(zip(campaign.values, cells, bounds)):
+        cell = outcomes[i * campaign.trials : (i + 1) * campaign.trials]
         for name in campaign.estimators:
             record, rows = _aggregate(
-                value, name, [o[name] for o in outcomes], scenario, crb1, crb2
+                value, name, [o[name] for o in cell], scenario, crb1, crb2
             )
             records.append(record)
             rmse_rows.extend(_record_rows(record))

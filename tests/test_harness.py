@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from sfas import estimators
+from sfas import estimators, harness
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -362,6 +363,37 @@ class TestCampaign:
         assert (out1 / "rmse.csv").read_bytes() == (out4 / "rmse.csv").read_bytes()
         assert (out1 / "trial_errors.csv").read_bytes() == (out4 / "trial_errors.csv").read_bytes()
 
+    @hyp_settings(max_examples=4, deadline=None)
+    @given(threads=st.integers(1, 4))
+    def test_thread_count_property(self, threads):
+        # 2 cells x 3 trials: with 2-4 workers, trials of both cells overlap.
+        camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
+        names = ("rmse.csv", "trial_errors.csv")
+        with tempfile.TemporaryDirectory() as tmp:
+            run_campaign(camp, out_dir=Path(tmp) / "serial", threads=1)
+            run_campaign(camp, out_dir=Path(tmp) / "pool", threads=threads)
+            for name in names:
+                serial = (Path(tmp) / "serial" / name).read_bytes()
+                assert (Path(tmp) / "pool" / name).read_bytes() == serial, (threads, name)
+
+    def test_thread_count_checked_and_capped(self, monkeypatch):
+        camp = Campaign(scenario=small_scenario(), sweep="none", trials=2)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"threads must be >= 1, got {bad}"):
+                run_campaign(camp, threads=bad)
+        started: list[int] = []
+        real_pool = harness.ThreadPoolExecutor
+
+        def pool(max_workers):
+            started.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        run_campaign(camp, threads=8)
+        run_campaign(replace(camp, trials=1), threads=8)
+        # Two jobs get two workers; one job runs without a pool.
+        assert started == [2]
+
     def test_metadata_header_embeds_config(self, tmp_path):
         scen = small_scenario()
         camp = Campaign(scenario=scen, sweep="none", trials=1)
@@ -412,6 +444,13 @@ class TestCli:
         rows = read_csv(tmp_path / "out" / "rmse.csv")
         trials_rows = [r for r in rows if r["metric"] == "trials_total"]
         assert trials_rows and all(r["value"] == "2" for r in trials_rows)
+
+        # A thread count below 1 is a usage error (exit 2), not a traceback.
+        for bad in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(["campaign", str(path), "--threads", bad])
+            assert exit_info.value.code == 2
+            assert f"threads must be a whole number >= 1, got '{bad}'" in capsys.readouterr().err
 
     def test_crb_verb(self, tmp_path):
         rc = cli_main(
