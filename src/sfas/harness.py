@@ -85,7 +85,7 @@ class Campaign:
     scenario: Scenario
     sweep: str = "none"
     values: tuple[float, ...] = ()
-    trials: int = 100
+    trials: int = 1000
     estimators: tuple[str, ...] = ("two_stage",)
     settings: EstimatorSettings = EstimatorSettings()
     out_dir: str | None = None
@@ -153,27 +153,104 @@ class RmseRecord:
 # Scenario / campaign files
 
 
-def _coerce(default, value):
-    """`value` as the type of the field's default; a None default (`trim`)
-    takes an int or None."""
-    if default is None:
-        return None if value is None else int(value)
-    return type(default)(value)
+def _whole(value) -> int:
+    """An int, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A number; text such as `1e3`, which YAML leaves a string, is read too."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"must be a number, got {value!r}")
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _list_of(read):
+    def read_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"must be a list, got {value!r}")
+        return tuple(read(item) for item in value)
+
+    return read_list
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _read(raw: dict, readers: dict, where: str, problems: list[str]) -> dict:
+    """The keys that mapping `raw` sets, each passed through its reader.
+    A `raw` that is not a mapping, an unknown key or a value its reader
+    rejects goes to `problems`, prefixed with `where`."""
+    if not isinstance(raw, dict):
+        problems.append(f"{where}must be a mapping, got {raw!r}")
+        return {}
+    out = {}
+    for key, value in raw.items():
+        if key not in readers:
+            problems.append(f"{where}unknown key {key!r}")
+            continue
+        try:
+            out[key] = readers[key](value)
+        except ValueError as exc:
+            problems.append(f"{where}{key} {exc}")
+    return out
 
 
 def _fields_from_dict(cls, raw: dict, where: str, problems: list[str]):
     """Build `cls` (settings or coupling) from a file section, field by
-    field; omitted keys keep their defaults, problems go to `problems`."""
-    defaults = cls()
-    names = [f.name for f in fields(cls)]
-    for key in raw:
-        if key not in names:
-            problems.append(f"{where}: unknown key {key!r}")
+    field, each read as the type of its default (a None default, `trim`,
+    takes a whole number or None); omitted keys keep their defaults."""
+    kinds = {bool: _flag, int: _whole, float: _real}
+    readers = {
+        f.name: _optional(_whole) if f.default is None else kinds[type(f.default)]
+        for f in fields(cls)
+    }
     try:
-        return cls(**{n: _coerce(getattr(defaults, n), raw[n]) for n in names if n in raw})
-    except (TypeError, ValueError) as exc:
+        return cls(**_read(raw, readers, f"{where}: ", problems))
+    except ValueError as exc:
         problems.append(f"{where}: {exc}")
-        return defaults
+        return cls()
+
+
+# Sections and source entries pass as they are; their keys are read next.
+_TOP_LEVEL_KEYS = dict.fromkeys(
+    ("array", "coupling", "extended_coupling", "estimator", "campaign"), lambda section: section
+)
+_TOP_LEVEL_KEYS.update(
+    label=str,
+    seed=_whole,
+    snapshots=_whole,
+    snr_db=lambda value: math.inf if value is None else _real(value),
+    sources=_list_of(lambda entry: entry),
+)
+_ARRAY_KEYS = {
+    "element_count": _whole,
+    "baseline_spacing": _real,
+    "scale_compressed": _real,
+    "scale_extended": _real,
+}
+_SOURCE_KEYS = dict.fromkeys(("angle_deg", "range", "power"), _real)
+_CAMPAIGN_KEYS = {
+    "sweep": str,
+    "values": _list_of(_real),
+    "trials": _whole,
+    "estimators": _list_of(str),
+    "out_dir": _optional(str),
+}
 
 
 def scenario_to_dict(scenario: Scenario, settings: EstimatorSettings | None = None) -> dict:
@@ -214,75 +291,42 @@ def campaign_to_dict(campaign: Campaign) -> dict:
     return out
 
 
-def _scenario_from_dict(raw: dict, problems: list[str]) -> Scenario | None:
-    known = {
-        "label", "seed", "snapshots", "snr_db", "array", "sources",
-        "coupling", "extended_coupling", "estimator", "campaign",
-    }
-    for key in raw:
-        if key not in known:
-            problems.append(f"unknown top-level key {key!r}")
-
-    arr = raw.get("array", {}) or {}
-    for key in arr:
-        if key not in {"element_count", "baseline_spacing", "scale_compressed", "scale_extended"}:
-            problems.append(f"array: unknown key {key!r}")
-    element_count = int(arr.get("element_count", 32))
-    baseline = float(arr.get("baseline_spacing", 0.5))
-    scale_c = float(arr.get("scale_compressed", 0.2))
-    scale_e = float(arr.get("scale_extended", 2.0))
-
+def _scenario_from_dict(top: dict, problems: list[str]) -> Scenario | None:
+    arr = _read(top.get("array") or {}, _ARRAY_KEYS, "array: ", problems)
     sources = []
-    for i, entry in enumerate(raw.get("sources", []) or []):
+    for i, entry in enumerate(top.get("sources", ())):
+        src = _read(entry, _SOURCE_KEYS, f"sources[{i}]: ", problems)
         try:
             sources.append(
-                SourceTruth.from_degrees(
-                    float(entry["angle_deg"]),
-                    float(entry["range"]),
-                    float(entry.get("power", 1.0)),
-                )
+                SourceTruth.from_degrees(src["angle_deg"], src["range"], src.get("power", 1.0))
             )
         except KeyError as exc:
-            problems.append(f"sources[{i}]: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+            if isinstance(entry, dict) and exc.args[0] not in entry:  # else already reported
+                problems.append(f"sources[{i}]: missing field {exc}")
+        except ValueError as exc:
             problems.append(f"sources[{i}]: {exc}")
     if not sources:
         problems.append("sources: at least one source is required")
 
-    coupling = _fields_from_dict(
-        CouplingModel, raw.get("coupling", {}) or {}, "coupling", problems
-    )
-    ext_raw = raw.get("extended_coupling")
-    coupling_ext = (
-        None
-        if ext_raw is None
-        else _fields_from_dict(CouplingModel, ext_raw, "extended_coupling", problems)
-    )
+    coupling = _fields_from_dict(CouplingModel, top.get("coupling") or {}, "coupling", problems)
+    coupling_ext = top.get("extended_coupling")
+    if coupling_ext is not None:
+        coupling_ext = _fields_from_dict(CouplingModel, coupling_ext, "extended_coupling", problems)
     if problems:
         return None
+    m, d0 = arr.get("element_count", 32), arr.get("baseline_spacing", 0.5)
     try:
-        config_c = ArrayConfig(element_count, baseline, scale_c)
-        config_e = ArrayConfig(element_count, baseline, scale_e)
-        snr = raw.get("snr_db", 0.0)
-        scenario = Scenario(
+        return Scenario(
             sources=tuple(sources),
-            config_compressed=config_c,
-            config_extended=config_e,
+            config_compressed=ArrayConfig(m, d0, arr.get("scale_compressed", 0.2)),
+            config_extended=ArrayConfig(m, d0, arr.get("scale_extended", 2.0)),
             coupling=coupling,
             coupling_extended=coupling_ext,
-            snapshots=int(raw.get("snapshots", 500)),
-            snr_db=float("inf") if snr is None else float(snr),
-            seed=int(raw.get("seed", 0)),
-            label=str(raw.get("label", "")),
+            **{k: top[k] for k in ("snapshots", "snr_db", "seed", "label") if k in top},
         )
     except ValueError as exc:
         problems.append(str(exc))
         return None
-    more = scenario.validation_errors()
-    if more:
-        problems.extend(more)
-        return None
-    return scenario
 
 
 def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
@@ -294,7 +338,7 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -304,9 +348,10 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
         raise ScenarioFileError(f"{path}: expected a mapping at the top level")
 
     problems: list[str] = []
-    scenario = _scenario_from_dict(raw, problems)
+    top = _read(raw, _TOP_LEVEL_KEYS, "", problems)
+    scenario = _scenario_from_dict(top, problems)
     settings = _fields_from_dict(
-        EstimatorSettings, raw.get("estimator", {}) or {}, "estimator", problems
+        EstimatorSettings, top.get("estimator") or {}, "estimator", problems
     )
     if scenario is not None and settings.trim is not None:
         kept = scenario.config_compressed.element_count - 2 * settings.trim
@@ -316,22 +361,10 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
                 f"for {scenario.source_count} sources; need more than {scenario.source_count}"
             )
     campaign = None
-    camp_raw = raw.get("campaign")
-    if camp_raw is not None and scenario is not None:
-        known = {"sweep", "values", "trials", "estimators", "out_dir"}
-        for key in camp_raw:
-            if key not in known:
-                problems.append(f"campaign: unknown key {key!r}")
+    if top.get("campaign") is not None and scenario is not None:
+        keys = _read(top["campaign"], _CAMPAIGN_KEYS, "campaign: ", problems)
         try:
-            campaign = Campaign(
-                scenario=scenario,
-                sweep=str(camp_raw.get("sweep", "none")),
-                values=tuple(float(v) for v in camp_raw.get("values", []) or []),
-                trials=int(camp_raw.get("trials", 1000)),
-                estimators=tuple(camp_raw.get("estimators", ["two_stage"])),
-                settings=settings,
-                out_dir=camp_raw.get("out_dir"),
-            )
+            campaign = Campaign(scenario=scenario, settings=settings, **keys)
         except ScenarioFileError as exc:
             problems.append(str(exc))
     if problems:
@@ -431,30 +464,26 @@ def run_single_shot(
     scenario: Scenario,
     settings: EstimatorSettings = EstimatorSettings(),
     out_dir=None,
-    trial: int = 0,
-    mc_band: int | None = None,
 ) -> SingleShotBundle:
-    """One full pipeline pass, optionally exporting every artifact.
+    """One full pipeline pass (trial 0), optionally exporting every artifact.
 
     Emits the proposed and conventional stage-1 spectra, the per-source
     range scans and local 2-D refinement patches, and the final estimate
     record.  Estimator failures are captured in the bundle, not raised.
     When the scenario declares extended-stage coupling the refinement
-    defaults to the coupling-robust spectrum (pass `mc_band` to override
-    the assumed bandwidth).  OpenBLAS runs at one thread meanwhile (see
-    `_blas`), so the artifacts do not depend on the host's core count.
+    uses the coupling-robust spectrum.  OpenBLAS runs at one thread
+    meanwhile (see `_blas`), so the artifacts do not depend on the host's
+    core count.
     """
     k = scenario.source_count
     trim = settings.resolve_trim(scenario.coupling.band)
-    if mc_band is None and scenario.coupling_extended is not None:
-        mc_band = _mc_band(scenario)
+    coupled = scenario.coupling_extended is not None
+    mc_band = _mc_band(scenario) if coupled else None
     errors: list[str] = []
 
-    block_c = generate_snapshots_compressed(scenario, trial)
-    block_e = generate_snapshots_extended(
-        scenario, include_coupling=scenario.coupling_extended is not None, trial=trial
-    )
-    block_b = generate_snapshots_baseline(scenario, trial)
+    block_c = generate_snapshots_compressed(scenario)
+    block_e = generate_snapshots_extended(scenario, include_coupling=coupled)
+    block_b = generate_snapshots_baseline(scenario)
 
     stage1_conventional = None
     conventional_peaks = np.array([])
@@ -532,28 +561,36 @@ def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
 # Campaigns
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
-    ok: bool
-    error: str
-    acc_angles: np.ndarray | None
-    angles: np.ndarray | None
-    ranges: np.ndarray | None
-    range_flat: np.ndarray | None
-
-
 def _mc_band(scenario: Scenario) -> int:
     model = scenario.coupling_extended or scenario.coupling
     return max(1, model.band)
+
+
+def _score(scenario, angles, ranges=None, range_flat=None, acc_angles=None):
+    """Pair an estimate with the truth.  Per truth source, the error cells
+    of a trial_errors.csv row: (ACC angle, AAR angle, range, range
+    excluded), each None where the estimator does not report it."""
+    true_angles = [s.angle_deg for s in scenario.sources]
+    true_ranges = None if ranges is None else [s.range for s in scenario.sources]
+    pairing = pair_estimates(angles, true_angles, ranges, true_ranges)
+    acc = [None] * len(true_angles)
+    if acc_angles is not None:
+        acc = pair_estimates(acc_angles, true_angles).angle_errors
+    cells = []
+    for src, aar in enumerate(pairing.angle_errors):
+        flat = None if ranges is None else bool(range_flat[pairing.assignment[src]])
+        rng = None if ranges is None or flat else pairing.range_errors[src]
+        cells.append((acc[src], aar, rng, flat))
+    return cells
 
 
 def _two_stage_trial(scenario, settings, block_c, block_e, trial, mc=False):
     trim = settings.resolve_trim(scenario.coupling.band)
     band = _mc_band(scenario) if mc else None
     est = two_stage_localize(block_c, block_e, scenario.source_count, trim, settings, band)
-    return _TrialOutcome(
-        True, "", est.coarse_angles_deg, est.refined_angles_deg, est.refined_ranges,
-        np.array([s.range_flat for s in est.sources]),
+    flat = [s.range_flat for s in est.sources]
+    return _score(
+        scenario, est.refined_angles_deg, est.refined_ranges, flat, est.coarse_angles_deg
     )
 
 
@@ -562,7 +599,7 @@ def _baseline_trial(scenario, settings, block_c, block_e, trial):
     block_b = generate_snapshots_baseline(scenario, trial)
     grid = baseline_ff_music(block_b, k, settings.angle_grid_deg())
     peaks = find_spectrum_peaks(grid.axes[0], grid.values, k, settings.min_peak_separation_deg)
-    return _TrialOutcome(True, "", None, peaks, None, None)
+    return _score(scenario, peaks)
 
 
 def _oracle_trial(scenario, settings, block_c, block_e, trial):
@@ -571,9 +608,7 @@ def _oracle_trial(scenario, settings, block_c, block_e, trial):
         block_e, k, settings.angle_grid_deg(), settings.range_grid(),
         settings.min_peak_separation_deg,
     )
-    angles = np.array([a for a, _ in pairs])
-    ranges = np.array([r for _, r in pairs])
-    return _TrialOutcome(True, "", None, angles, ranges, np.zeros(k, dtype=bool))
+    return _score(scenario, [a for a, _ in pairs], [r for _, r in pairs], [False] * k)
 
 
 # name -> (trial function, reports ACC angles, reports ranges)
@@ -591,107 +626,72 @@ def _run_trial(
     settings: EstimatorSettings,
     estimators: tuple[str, ...],
     trial: int,
-) -> dict[str, _TrialOutcome]:
+) -> dict[str, list | None]:
+    """Each estimator's per-source error cells (see `_score`); None when
+    the estimator failed on this trial."""
     include_coupling = scenario.coupling_extended is not None
     block_c = generate_snapshots_compressed(scenario, trial)
     block_e = generate_snapshots_extended(scenario, include_coupling, trial)
 
-    out: dict[str, _TrialOutcome] = {}
+    out: dict[str, list | None] = {}
     for name in estimators:
         try:
-            run = _ESTIMATORS[name][0]
-            out[name] = run(scenario, settings, block_c, block_e, trial)
-        except (UnderResolutionError, DegenerateSubspaceError) as exc:
-            out[name] = _TrialOutcome(False, str(exc), None, None, None, None)
+            out[name] = _ESTIMATORS[name][0](scenario, settings, block_c, block_e, trial)
+        except (UnderResolutionError, DegenerateSubspaceError):
+            out[name] = None
     return out
+
+
+def _rms(squares) -> float:
+    return math.sqrt(sum(squares) / len(squares)) if squares else math.nan
 
 
 def _aggregate(
     sweep_value: float,
     estimator: str,
-    outcomes: list[_TrialOutcome],
+    outcomes: list[list | None],
     scenario: Scenario,
     crb1: CrbResult | None,
     crb2: CrbResult | None,
 ) -> tuple[RmseRecord, list[list[str]]]:
-    k = scenario.source_count
-    true_angles = np.array([s.angle_deg for s in scenario.sources])
     true_ranges = np.array([s.range for s in scenario.sources])
-
-    acc_sq = [[] for _ in range(k)]
-    aar_sq = [[] for _ in range(k)]
-    rng_sq = [[] for _ in range(k)]
-    rel_sq = [[] for _ in range(k)]
-    excluded = np.zeros(k, dtype=int)
-    failed = 0
+    # Squared ACC, AAR, range and relative range errors, per source.
+    squares = [[[] for _ in true_ranges] for _ in range(4)]
+    excluded = np.zeros(len(true_ranges), dtype=int)
     dump_rows: list[list[str]] = []
-    _, has_acc, has_range = _ESTIMATORS[estimator]
-
-    for trial, res in enumerate(outcomes):
-        if not res.ok:
-            failed += 1
+    for trial, cells in enumerate(outcomes):
+        if cells is None:
             dump_rows.append(
                 [_fmt(sweep_value), estimator, str(trial), "", "", "", "", "", "true"]
             )
             continue
-        pairing = pair_estimates(
-            res.angles, true_angles,
-            res.ranges if has_range else None,
-            true_ranges if has_range else None,
-        )
-        acc_errors = None
-        if has_acc:
-            acc_errors = pair_estimates(res.acc_angles, true_angles).angle_errors
-        for src in range(k):
-            aar_err = pairing.angle_errors[src]
-            aar_sq[src].append(aar_err**2)
-            acc_err = acc_errors[src] if acc_errors is not None else None
-            if acc_err is not None:
-                acc_sq[src].append(acc_err**2)
-            rng_err = None
-            rng_excluded = False
-            if has_range:
-                flat = bool(res.range_flat[pairing.assignment[src]])
-                if flat:
-                    excluded[src] += 1
-                    rng_excluded = True
-                else:
-                    rng_err = pairing.range_errors[src]
-                    rng_sq[src].append(rng_err**2)
-                    rel_sq[src].append((rng_err / true_ranges[src]) ** 2)
+        for src, (acc, aar, rng, flat) in enumerate(cells):
+            rel = None if rng is None else rng / true_ranges[src]
+            for per_source, err in zip(squares, (acc, aar, rng, rel)):
+                if err is not None:
+                    per_source[src].append(err**2)
+            excluded[src] += bool(flat)
             dump_rows.append(
-                [
-                    _fmt(sweep_value), estimator, str(trial), str(src),
-                    _fmt(acc_err) if acc_err is not None else "",
-                    _fmt(aar_err),
-                    _fmt(rng_err) if rng_err is not None else "",
-                    "true" if rng_excluded else ("false" if has_range else ""),
-                    "false",
-                ]
+                [_fmt(sweep_value), estimator, str(trial), str(src),
+                 *map(_fmt, (acc, aar, rng, flat)), "false"]
             )
 
-    def rmse(buckets) -> np.ndarray:
-        return np.array(
-            [math.sqrt(sum(b) / len(b)) if b else math.nan for b in buckets]
-        )
-
-    def pooled(buckets) -> float:
-        flat = [x for b in buckets for x in b]
-        return math.sqrt(sum(flat) / len(flat)) if flat else math.nan
-
+    rmse = [np.array([_rms(b) for b in per_source]) for per_source in squares]
+    pooled = [_rms([x for b in per_source for x in b]) for per_source in squares]
+    _, has_acc, has_range = _ESTIMATORS[estimator]
     record = RmseRecord(
         sweep_value=sweep_value,
         estimator=estimator,
         trials_total=len(outcomes),
-        trials_failed=failed,
-        acc_angle_rmse=rmse(acc_sq) if has_acc else None,
-        aar_angle_rmse=rmse(aar_sq),
-        range_rmse=rmse(rng_sq) if has_range else None,
-        range_rmse_rel=rmse(rel_sq) if has_range else None,
+        trials_failed=sum(cells is None for cells in outcomes),
+        acc_angle_rmse=rmse[0] if has_acc else None,
+        aar_angle_rmse=rmse[1],
+        range_rmse=rmse[2] if has_range else None,
+        range_rmse_rel=rmse[3] if has_range else None,
         range_excluded=excluded if has_range else None,
-        acc_angle_rmse_pooled=pooled(acc_sq) if has_acc else None,
-        aar_angle_rmse_pooled=pooled(aar_sq),
-        range_rmse_pooled=pooled(rng_sq) if has_range else None,
+        acc_angle_rmse_pooled=pooled[0] if has_acc else None,
+        aar_angle_rmse_pooled=pooled[1],
+        range_rmse_pooled=pooled[2] if has_range else None,
         crb1=crb1,
         crb2=crb2,
     )
@@ -709,51 +709,47 @@ def _bounds(scenario: Scenario) -> tuple[CrbResult, CrbResult]:
 
 
 def _crb_rows(sweep_value: float, crb1: CrbResult, crb2: CrbResult) -> list[list[str]]:
-    rows = []
-
     def rmse_deg(var) -> float:
         return math.degrees(math.sqrt(var)) if math.isfinite(var) else math.inf
 
-    def add(source, metric, value):
-        rows.append([_fmt(sweep_value), "crb", source, metric, _fmt(value)])
-
-    k = len(crb1.angle_variance)
-    for src in range(k):
-        add(str(src), "crb1_angle_rmse_deg", rmse_deg(crb1.angle_variance[src]))
-        add(str(src), "crb2_angle_rmse_deg", rmse_deg(crb2.angle_variance[src]))
-        add(str(src), "crb1_range_rmse_wl", math.sqrt(crb1.range_variance[src]))
-        add(str(src), "crb2_range_rmse_wl", math.sqrt(crb2.range_variance[src]))
-    add("pooled", "crb1_angle_rmse_deg", rmse_deg(float(np.mean(crb1.angle_variance))))
-    add("pooled", "crb2_angle_rmse_deg", rmse_deg(float(np.mean(crb2.angle_variance))))
-    add("pooled", "crb1_range_rmse_wl", math.sqrt(float(np.mean(crb1.range_variance))))
-    add("pooled", "crb2_range_rmse_wl", math.sqrt(float(np.mean(crb2.range_variance))))
+    bounds = [
+        ("crb1_angle_rmse_deg", crb1.angle_variance, rmse_deg),
+        ("crb2_angle_rmse_deg", crb2.angle_variance, rmse_deg),
+        ("crb1_range_rmse_wl", crb1.range_variance, math.sqrt),
+        ("crb2_range_rmse_wl", crb2.range_variance, math.sqrt),
+    ]
+    rows = []
+    for src in [*range(len(crb1.angle_variance)), "pooled"]:
+        for metric, variance, to_rmse in bounds:
+            var = float(np.mean(variance)) if src == "pooled" else variance[src]
+            rows.append([_fmt(sweep_value), "crb", str(src), metric, _fmt(to_rmse(var))])
     return rows
+
+
+# rmse.csv metric -> (RmseRecord per-source field, pooled field), in row order.
+# A None field, or a field the record leaves None, writes no row.
+_METRICS = {
+    "acc_angle_rmse_deg": ("acc_angle_rmse", "acc_angle_rmse_pooled"),
+    "aar_angle_rmse_deg": ("aar_angle_rmse", "aar_angle_rmse_pooled"),
+    "range_rmse_wl": ("range_rmse", "range_rmse_pooled"),
+    "range_rmse_rel": ("range_rmse_rel", None),
+    "range_excluded_trials": ("range_excluded", None),
+    "trials_total": (None, "trials_total"),
+    "trials_failed": (None, "trials_failed"),
+}
 
 
 def _record_rows(record: RmseRecord) -> list[list[str]]:
     rows = []
-
-    def add(source, metric, value):
-        rows.append(
-            [_fmt(record.sweep_value), record.estimator, source, metric, _fmt(value)]
-        )
-
-    k = len(record.aar_angle_rmse)
-    for src in range(k):
-        if record.acc_angle_rmse is not None:
-            add(str(src), "acc_angle_rmse_deg", record.acc_angle_rmse[src])
-        add(str(src), "aar_angle_rmse_deg", record.aar_angle_rmse[src])
-        if record.range_rmse is not None:
-            add(str(src), "range_rmse_wl", record.range_rmse[src])
-            add(str(src), "range_rmse_rel", record.range_rmse_rel[src])
-            add(str(src), "range_excluded_trials", record.range_excluded[src])
-    if record.acc_angle_rmse_pooled is not None:
-        add("pooled", "acc_angle_rmse_deg", record.acc_angle_rmse_pooled)
-    add("pooled", "aar_angle_rmse_deg", record.aar_angle_rmse_pooled)
-    if record.range_rmse_pooled is not None:
-        add("pooled", "range_rmse_wl", record.range_rmse_pooled)
-    add("pooled", "trials_total", record.trials_total)
-    add("pooled", "trials_failed", record.trials_failed)
+    for src in [*range(len(record.aar_angle_rmse)), "pooled"]:
+        for metric, (per_source, pooled) in _METRICS.items():
+            field = pooled if src == "pooled" else per_source
+            value = None if field is None else getattr(record, field)
+            if value is not None:
+                value = value if src == "pooled" else value[src]
+                rows.append(
+                    [_fmt(record.sweep_value), record.estimator, str(src), metric, _fmt(value)]
+                )
     return rows
 
 
@@ -762,7 +758,6 @@ def run_campaign(
     campaign: Campaign,
     out_dir=None,
     threads: int = 1,
-    compute_crb: bool = True,
 ) -> list[RmseRecord]:
     """Monte-Carlo sweep with deterministic per-trial seeding.
 
@@ -778,7 +773,7 @@ def run_campaign(
     cells = [campaign.scenario_at(value) for value in campaign.values]
     jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
 
-    def trial_fn(job: tuple[Scenario, int]) -> dict[str, _TrialOutcome]:
+    def trial_fn(job: tuple[Scenario, int]) -> dict[str, list | None]:
         return _run_trial(job[0], campaign.settings, campaign.estimators, job[1])
 
     workers = min(threads, len(jobs))
@@ -786,7 +781,7 @@ def run_campaign(
         # The pool starts on every trial at once; the bounds overlap them.
         pending = pool.map(trial_fn, jobs) if pool else map(trial_fn, jobs)
         bounds = [
-            _bounds(scenario) if compute_crb and scenario.noise_variance > 0.0 else (None, None)
+            _bounds(scenario) if scenario.noise_variance > 0.0 else (None, None)
             for scenario in cells
         ]
         outcomes = list(pending)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas import estimators, harness
@@ -173,6 +174,33 @@ class TestScenarioFiles:
         assert type(loaded[0].coupling.band) is int
         assert type(loaded[0].coupling.symmetric) is bool
 
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_shipped_files_raise_only_scenario_errors(self, data):
+        """A shipped file with one key, at the top level or inside a section
+        or source entry, set to a value of any kind either loads or raises
+        ScenarioFileError, never another exception."""
+        name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
+        raw = yaml.safe_load((SCENARIO_DIR / name).read_text())
+        sections = [raw, *(v for v in raw.values() if isinstance(v, dict)), *raw["sources"]]
+        section = data.draw(st.sampled_from(sections))
+        key = data.draw(st.sampled_from(sorted(section)))
+        scalars = (
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+        )
+        section[key] = data.draw(
+            scalars
+            | st.lists(scalars, max_size=3)
+            | st.dictionaries(st.text(max_size=10), scalars, max_size=3)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(yaml.safe_dump(raw))
+            try:
+                load_file(path)
+            except ScenarioFileError:
+                pass
+
     def test_campaign_invariants(self):
         scen = small_scenario()
         with pytest.raises(ScenarioFileError, match="increasing"):
@@ -320,6 +348,101 @@ class TestCampaign:
         assert record.trials_failed == 0
         assert record.aar_angle_rmse_pooled <= 0.1
         assert record.acc_angle_rmse is None
+
+    def test_estimator_output_shapes(self, tmp_path, monkeypatch):
+        """Which trial_errors.csv cells each estimator fills, what a failed
+        trial writes, and the rmse.csv metrics each estimator reports."""
+        scen = Scenario(
+            sources=(
+                SourceTruth.from_degrees(-30.0, 20.0),
+                SourceTruth.from_degrees(20.0, 300.0),  # flat range in two_stage(_mc)
+            ),
+            config_compressed=ArrayConfig(8, 0.5, 0.2),
+            config_extended=ArrayConfig(8, 0.5, 2.0),
+            coupling=CouplingModel(band=1),
+            coupling_extended=CouplingModel(0.3, 1.0, 0.0, band=1, symmetric=True),
+            snapshots=64,
+            snr_db=20.0,
+            seed=3,
+        )
+        names = ("two_stage", "two_stage_mc", "baseline_ff_music", "oracle_2d")
+        camp = Campaign(scenario=scen, sweep="none", trials=2, estimators=names)
+        calls = []
+        real = harness.two_stage_localize
+
+        def first_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:  # trial 0 of two_stage
+                raise estimators.UnderResolutionError(2, [1.0])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "two_stage_localize", first_call_fails)
+        out = tmp_path / "camp"
+        records = run_campaign(camp, out_dir=out)
+        assert [(r.estimator, r.trials_failed) for r in records] == [
+            ("two_stage", 1), ("two_stage_mc", 0), ("baseline_ff_music", 0), ("oracle_2d", 0),
+        ]
+        excluded = [None if r.range_excluded is None else list(r.range_excluded) for r in records]
+        assert excluded == [[0, 1], [0, 2], None, [0, 0]]
+
+        # Per row: which of the ACC, AAR and range cells are filled, then
+        # range_excluded and failed.
+        cells = ("acc_angle_error_deg", "aar_angle_error_deg", "range_error_wl")
+        shape = {
+            ("two_stage", "0"): ("yyy", "false"),
+            ("two_stage", "1"): ("yyn", "true"),
+            ("baseline_ff_music", "0"): ("nyn", ""),
+            ("baseline_ff_music", "1"): ("nyn", ""),
+            ("oracle_2d", "0"): ("nyy", "false"),
+            ("oracle_2d", "1"): ("nyy", "false"),
+        }
+        shape.update({("two_stage_mc", s): v for (n, s), v in shape.items() if n == "two_stage"})
+        expected = [("two_stage", "0", "", "nnn", "", "true")] + [
+            (name, trial, src, *shape[name, src], "false")
+            for name in names for trial in "01" for src in "01"
+            if (name, trial) != ("two_stage", "0")
+        ]
+        errors = read_csv(out / "trial_errors.csv")
+        assert [
+            (r["estimator"], r["trial"], r["source"],
+             "".join("y" if r[c] else "n" for c in cells), r["range_excluded"], r["failed"])
+            for r in errors
+        ] == expected
+        assert {r["sweep_value"] for r in errors} == {"0.0"}
+        assert all(math.isfinite(float(r[c])) for r in errors for c in cells if r[c])
+
+        per_source = {
+            "two_stage": ["acc_angle_rmse_deg", "aar_angle_rmse_deg", "range_rmse_wl",
+                          "range_rmse_rel", "range_excluded_trials"],
+            "baseline_ff_music": ["aar_angle_rmse_deg"],
+            "oracle_2d": ["aar_angle_rmse_deg", "range_rmse_wl", "range_rmse_rel",
+                          "range_excluded_trials"],
+        }
+        per_source["two_stage_mc"] = per_source["two_stage"]
+        pooled = {
+            name: [m for m in metrics if m not in ("range_rmse_rel", "range_excluded_trials")]
+            + ["trials_total", "trials_failed"]
+            for name, metrics in per_source.items()
+        }
+        bounds = ["crb1_angle_rmse_deg", "crb2_angle_rmse_deg",
+                  "crb1_range_rmse_wl", "crb2_range_rmse_wl"]
+        rows = read_csv(out / "rmse.csv")
+        assert [(r["estimator"], r["source"], r["metric"]) for r in rows] == [
+            *(
+                (name, src, metric)
+                for name in names
+                for src in ("0", "1", "pooled")
+                for metric in (pooled if src == "pooled" else per_source)[name]
+            ),
+            *(("crb", src, metric) for src in ("0", "1", "pooled") for metric in bounds),
+        ]
+        # Source 1 of two_stage has no range sample left: its range RMSE is NaN.
+        two_stage = {
+            (r["source"], r["metric"]): r["value"] for r in rows if r["estimator"] == "two_stage"
+        }
+        assert two_stage["1", "range_rmse_wl"] == "nan"
+        assert two_stage["1", "range_excluded_trials"] == "1"
+        assert two_stage["pooled", "trials_failed"] == "1"
 
     def test_coupled_scenario_single_shot_uses_robust_spectrum(self):
         scen = Scenario(
@@ -512,6 +635,32 @@ class TestCli:
             (base.replace("reference_strength: 0.3", "reference_strength: 1.5")
              .replace("band: 2\n", "band: -1\n"),
              "single-shot", ["reference_strength < 1", "band >= 0"]),
+        ]
+        # Sections of the wrong shape and values of the wrong kind: one
+        # problem naming the section and key, never a traceback or a
+        # silently truncated value.
+        shapes = {
+            "array: 5": "array: must be a mapping, got 5",
+            "sources: 5": "sources must be a list, got 5",
+            "coupling: 5": "coupling: must be a mapping, got 5",
+            "estimator: 5": "estimator: must be a mapping, got 5",
+            "campaign: 5": "campaign: must be a mapping, got 5",
+            "campaign: {values: 3}": "campaign: values must be a list, got 3",
+            "array: {element_count: abc}": "array: element_count must be a whole number",
+            "campaign: {values: [a, b]}": "campaign: values must be a number, got 'a'",
+            "campaign: {trials: many}": "campaign: trials must be a whole number, got 'many'",
+            "seed: 1.9": "seed must be a whole number, got 1.9",
+            "coupling: {band: 2.5}": "coupling: band must be a whole number, got 2.5",
+            "campaign: {trials: 2.5}": "campaign: trials must be a whole number, got 2.5",
+            "array: {element_count: 2.7}": "array: element_count must be a whole number, got 2.7",
+            "campaign: {estimators: two_stage}":
+                "campaign: estimators must be a list, got 'two_stage'",
+            'coupling: {symmetric: "false"}':
+                "coupling: symmetric must be true or false, got 'false'",
+        }
+        cases += [
+            (f"{base}\n{line}\n", "campaign" if "campaign" in line else "single-shot", [key])
+            for line, key in shapes.items()
         ]
         for text, run_verb, keys in cases:
             path.write_text(text)
