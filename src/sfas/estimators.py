@@ -313,8 +313,13 @@ def stage2_range_search(
 class RefineResult:
     angle_deg: float
     range_wl: float
-    spectrum: SpectrumGrid
     boundary_hit: bool
+
+
+# Pass 1 first scans every _SUBLATTICE_STRIDE-th row and column of its
+# lattice, then the full-resolution block of that half-width around the
+# best cell seen.
+_SUBLATTICE_STRIDE = 5
 
 
 def _window_grid(center: float, halfwidth: float, step: float, lo: float, hi: float) -> np.ndarray:
@@ -322,6 +327,91 @@ def _window_grid(center: float, halfwidth: float, step: float, lo: float, hi: fl
     grid = center + step * np.arange(-n, n + 1)
     grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
     return np.clip(grid, lo, hi)
+
+
+def _refine_window(coarse_angle_deg: float, initial_range: float, settings: EstimatorSettings):
+    """(angle lo, angle hi, range lo, range hi) around the stage-2 seed."""
+    half_r = settings.window_range_fraction * initial_range
+    return (
+        coarse_angle_deg - settings.window_angle_deg,
+        coarse_angle_deg + settings.window_angle_deg,
+        initial_range - half_r,
+        initial_range + half_r,
+    )
+
+
+def _pass1_lattice(coarse_angle_deg: float, initial_range: float, settings: EstimatorSettings):
+    """(angles in degrees, ranges) of pass 1: the whole window at the pass-1 steps."""
+    ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
+    return (
+        _window_grid(
+            coarse_angle_deg, settings.window_angle_deg, settings.pass1_angle_step_deg,
+            ang_lo, ang_hi,
+        ),
+        _window_grid(
+            initial_range, settings.window_range_fraction * initial_range,
+            settings.pass1_range_fraction * initial_range, rng_lo, rng_hi,
+        ),
+    )
+
+
+def _around(index: int, size: int, half: int = 1) -> np.ndarray:
+    """Lattice indices within `half` of `index`."""
+    return np.arange(max(index - half, 0), min(index + half + 1, size))
+
+
+class _Lattice:
+    """A pass lattice whose cost values are computed on demand, once per cell.
+
+    `values` holds NaN where a cell has not been evaluated.  Cells compare
+    by (value, angle index, range index), the order of `np.argmin` on the
+    full grid.
+    """
+
+    def __init__(self, cost, angles_deg: np.ndarray, ranges: np.ndarray):
+        self.angles_deg = angles_deg
+        self.ranges = ranges
+        self.values = np.full((len(angles_deg), len(ranges)), np.nan)
+        self._cost = cost
+
+    def best(self, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+        """The least cell of rows x cols (ascending indices); its unseen
+        cells are evaluated first, in one cost call."""
+        ii, jj = np.meshgrid(rows, cols, indexing="ij")
+        new = np.isnan(self.values[ii, jj])
+        if new.any():
+            i, j = ii[new], jj[new]
+            self.values[i, j] = self._cost(
+                np.deg2rad(self.angles_deg[i]), self.ranges[j], paired=True
+            )
+        k, m = divmod(int(np.argmin(self.values[ii, jj])), len(cols))
+        return int(rows[k]), int(cols[m])
+
+    def descend(self, i: int, j: int) -> tuple[int, int]:
+        """Greedy 3x3 steps to a cell that is also the least of its 5x5
+        neighbourhood, which is evaluated on return.  The 5x5 check lets
+        the walk go on along a narrow valley that runs between the lattice
+        directions, where a 3x3 local minimum need not be the lowest."""
+        n_a, n_r = self.values.shape
+        while True:
+            for half in (1, 2):
+                step = self.best(_around(i, n_a, half), _around(j, n_r, half))
+                if step != (i, j):
+                    i, j = step
+                    break
+            else:
+                return i, j
+
+    def coarse_to_fine(self) -> tuple[int, int]:
+        """The sub-lattice minimum (last row and column included), the
+        full-resolution block around it, then descent."""
+        n_a, n_r = self.values.shape
+        s = _SUBLATTICE_STRIDE
+        i, j = self.best(
+            np.union1d(np.arange(0, n_a, s), [n_a - 1]),
+            np.union1d(np.arange(0, n_r, s), [n_r - 1]),
+        )
+        return self.descend(*self.best(_around(i, n_a, s), _around(j, n_r, s)))
 
 
 def _parabolic_vertex(d_lo: float, d_mid: float, d_hi: float) -> float:
@@ -356,58 +446,65 @@ def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float]:
     return float(np.clip(dx, -1.0, 1.0)), float(np.clip(dy, -1.0, 1.0))
 
 
+def _search_passes(
+    cost, coarse_angle_deg: float, initial_range: float, settings: EstimatorSettings
+):
+    """The two pass lattices and the argmin cell found on each.
+
+    Pass 1 spans the whole window at the pass-1 steps, pass 2 1.5 pass-1
+    steps around the pass-1 cell at the pass-2 steps: the lattices a
+    full-grid search fills.  Pass 1 takes the stride-5 sub-lattice, the
+    full-resolution block around the sub-lattice minimum and descent from
+    there; pass 2 descends from the cell nearest the pass-1 cell.  Where
+    the cost has one lattice local minimum per pass, the cells are the
+    full-grid argmin.
+    """
+    pass1 = _Lattice(cost, *_pass1_lattice(coarse_angle_deg, initial_range, settings))
+    i1, j1 = pass1.coarse_to_fine()
+    angle1, range1 = pass1.angles_deg[i1], pass1.ranges[j1]
+    ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
+    pass2 = _Lattice(
+        cost,
+        _window_grid(
+            angle1, 1.5 * settings.pass1_angle_step_deg, settings.pass2_angle_step_deg,
+            ang_lo, ang_hi,
+        ),
+        _window_grid(
+            range1, 1.5 * (settings.pass1_range_fraction * initial_range),
+            settings.pass2_range_fraction * initial_range, rng_lo, rng_hi,
+        ),
+    )
+    cell2 = pass2.descend(
+        int(np.argmin(np.abs(pass2.angles_deg - angle1))),
+        int(np.argmin(np.abs(pass2.ranges - range1))),
+    )
+    return pass1, (i1, j1), pass2, cell2
+
+
 def _refine_search(
-    denominator_fn,
+    cost,
     coarse_angle_deg: float,
     initial_range: float,
     settings: EstimatorSettings,
 ) -> RefineResult:
-    """Two-pass windowed grid minimization of a spectrum denominator.
+    """Two-pass windowed minimization of a spectrum denominator.
 
-    Pass 2 re-grids around the pass-1 cell, then a per-axis parabolic fit
-    pulls the estimate off the grid; every candidate stays inside the
-    window around (coarse angle, initial range) by construction.
+    Each pass finds the argmin cell of its lattice by a sparse search that
+    evaluates a few hundred of its cells (:func:`_search_passes`).  A
+    quadratic fit to the 3x3 pass-2 patch around that cell, with per-axis
+    parabolas where the cell sits on a lattice edge or the fit is not
+    convex, pulls the estimate off the grid; it is clamped to the window
+    around (coarse angle, initial range).
     """
-    ang_lo = coarse_angle_deg - settings.window_angle_deg
-    ang_hi = coarse_angle_deg + settings.window_angle_deg
-    rng_halfwidth = settings.window_range_fraction * initial_range
-    rng_lo = initial_range - rng_halfwidth
-    rng_hi = initial_range + rng_halfwidth
-
-    def run_pass(center_a, center_r, half_a, half_r, step_a, step_r):
-        angles = _window_grid(center_a, half_a, step_a, ang_lo, ang_hi)
-        ranges = _window_grid(center_r, half_r, step_r, rng_lo, rng_hi)
-        denom = denominator_fn(np.deg2rad(angles), ranges)
-        i, j = np.unravel_index(np.argmin(denom), denom.shape)
-        return angles, ranges, denom, int(i), int(j)
-
-    step1_r = settings.pass1_range_fraction * initial_range
-    angles1, ranges1, denom1, i1, j1 = run_pass(
-        coarse_angle_deg,
-        initial_range,
-        settings.window_angle_deg,
-        rng_halfwidth,
-        settings.pass1_angle_step_deg,
-        step1_r,
-    )
-    pass1 = SpectrumGrid(
-        (angles1, ranges1), ("angle_deg", "range_wl"), _spectrum(denom1)
-    )
-
+    ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
+    _, _, pass2, (i2, j2) = _search_passes(cost, coarse_angle_deg, initial_range, settings)
+    denom2 = pass2.values
     step2_r = settings.pass2_range_fraction * initial_range
-    angles2, ranges2, denom2, i2, j2 = run_pass(
-        angles1[i1],
-        ranges1[j1],
-        1.5 * settings.pass1_angle_step_deg,
-        1.5 * step1_r,
-        settings.pass2_angle_step_deg,
-        step2_r,
-    )
 
-    angle = angles2[i2]
-    rng = ranges2[j2]
-    interior_a = 0 < i2 < len(angles2) - 1
-    interior_r = 0 < j2 < len(ranges2) - 1
+    angle = pass2.angles_deg[i2]
+    rng = pass2.ranges[j2]
+    interior_a = 0 < i2 < len(pass2.angles_deg) - 1
+    interior_r = 0 < j2 < len(pass2.ranges) - 1
     if interior_a and interior_r:
         da, dr = _quadratic_vertex_2d(denom2[i2 - 1 : i2 + 2, j2 - 1 : j2 + 2])
         angle += settings.pass2_angle_step_deg * da
@@ -433,19 +530,35 @@ def _refine_search(
             RuntimeWarning,
             stacklevel=3,
         )
-    return RefineResult(angle, rng, pass1, boundary_hit)
+    return RefineResult(angle, rng, boundary_hit)
+
+
+def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) -> SpectrumGrid:
+    """The spectrum over the whole pass-1 lattice, for export."""
+    angles, ranges = _pass1_lattice(coarse_angle_deg, initial_range, settings)
+    return SpectrumGrid(
+        (angles, ranges), ("angle_deg", "range_wl"), _spectrum(cost(np.deg2rad(angles), ranges))
+    )
 
 
 def _grid_cost(column_cost, config: ArrayConfig):
     """Cost function of (angles_rad, ranges) over their mesh, shape
     (angles, ranges): `column_cost` maps the (M, G) exact-geometry manifold
-    to G values (the MUSIC denominator or the rank-reduction eigenvalue)."""
-    def fn(angles_rad: np.ndarray, ranges) -> np.ndarray:
+    to G values (the MUSIC denominator or the rank-reduction eigenvalue).
+    With `paired=True` the two arrays list single points instead, and the
+    result has one value per point."""
+    def fn(angles_rad: np.ndarray, ranges, paired: bool = False) -> np.ndarray:
+        if paired:
+            return column_cost(esg_manifold_centered(angles_rad, ranges, config))
         mesh_t, mesh_r = np.meshgrid(angles_rad, ranges, indexing="ij")
         manifold = esg_manifold_centered(mesh_t.ravel(), mesh_r.ravel(), config)
         return column_cost(manifold).reshape(len(angles_rad), len(ranges))
 
     return fn
+
+
+def _plain_cost(decomp: SubspaceDecomposition, config: ArrayConfig):
+    return _grid_cost(partial(_noise_quadratic, decomp.noise_basis), config)
 
 
 def stage2_refine(
@@ -461,10 +574,7 @@ def stage2_refine(
     and |range - initial| <= window_range_fraction * initial.
     """
     return _refine_search(
-        _grid_cost(partial(_noise_quadratic, decomp_extended.noise_basis), config_extended),
-        coarse_angle_deg,
-        initial_range,
-        settings,
+        _plain_cost(decomp_extended, config_extended), coarse_angle_deg, initial_range, settings
     )
 
 
@@ -588,7 +698,7 @@ def oracle_2d_music(
         range_grid = settings.range_grid()
     angle_grid_deg = np.asarray(angle_grid_deg, float)
     decomp = decompose(sample_covariance(block_extended), source_count)
-    cost = _grid_cost(partial(_noise_quadratic, decomp.noise_basis), block_extended.config)
+    cost = _plain_cost(decomp, block_extended.config)
     angles_rad = np.deg2rad(angle_grid_deg)
     denom = np.empty((len(angle_grid_deg), len(range_grid)))
     chunk = max(1, 131072 // len(range_grid))
@@ -703,7 +813,7 @@ def two_stage_localize(
     rank-reduction spectrum instead of the plain exact-geometry one.
     """
     return _two_stage(
-        block_compressed, block_extended, source_count, trim, settings, mc_band, _Spectra()
+        block_compressed, block_extended, source_count, trim, settings, mc_band, None
     )
 
 
@@ -725,15 +835,19 @@ def _two_stage(
     trim: int,
     settings: EstimatorSettings,
     mc_band: int | None,
-    spectra: _Spectra,
+    spectra: _Spectra | None,
 ) -> LocalizationEstimate:
-    spectra.stage1, coarse = stage1_music(
+    """The two-stage pipeline; with `spectra` given it also records the
+    spectra along the way, evaluating each whole pass-1 patch for it."""
+    stage1, coarse = stage1_music(
         block_compressed,
         trim,
         source_count,
         settings.angle_grid_deg(),
         settings.min_peak_separation_deg,
     )
+    if spectra is not None:
+        spectra.stage1 = stage1
     decomp = decompose(sample_covariance(block_extended), source_count)
     range_grid = settings.range_grid()
     config = block_extended.config
@@ -742,14 +856,22 @@ def _two_stage(
         search = stage2_range_search(
             decomp, angle, range_grid, config, settings.flat_spectrum_ratio
         )
-        spectra.range_scans.append(search.spectrum)
+        if spectra is not None:
+            spectra.range_scans.append(search.spectrum)
         if mc_band is None:
             refined = stage2_refine(decomp, angle, search.initial_range, config, settings)
         else:
             refined = mc_music_refine(
                 decomp, angle, search.initial_range, mc_band, config, settings
             )
-        spectra.refine_patches.append(refined.spectrum)
+        if spectra is not None:
+            cost = (
+                _plain_cost(decomp, config) if mc_band is None
+                else _mc_cost(decomp, mc_band, config)
+            )
+            spectra.refine_patches.append(
+                _pass1_patch(cost, angle, search.initial_range, settings)
+            )
         results.append(
             SourceEstimate(
                 coarse_angle_deg=angle,

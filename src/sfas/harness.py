@@ -162,7 +162,7 @@ def _whole(value) -> int:
     return value
 
 
-def _real(value) -> float:
+def _number(value) -> float:
     """A number; text such as `1e3`, which YAML leaves a string, is read too."""
     try:
         if not isinstance(value, bool):
@@ -170,6 +170,28 @@ def _real(value) -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"must be a number, got {value!r}")
+
+
+def _real(value) -> float:
+    """A finite number."""
+    number = _number(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _real_or_inf(value) -> float:
+    """A finite number or `.inf`, which an SNR in dB takes for noiseless data."""
+    number = _number(value)
+    if math.isnan(number) or number == -math.inf:
+        raise ValueError(f"must be finite or .inf, got {value!r}")
+    return number
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be text, got {value!r}")
+    return value
 
 
 def _flag(value) -> bool:
@@ -231,10 +253,10 @@ _TOP_LEVEL_KEYS = dict.fromkeys(
     ("array", "coupling", "extended_coupling", "estimator", "campaign"), lambda section: section
 )
 _TOP_LEVEL_KEYS.update(
-    label=str,
+    label=_text,
     seed=_whole,
     snapshots=_whole,
-    snr_db=lambda value: math.inf if value is None else _real(value),
+    snr_db=lambda value: math.inf if value is None else _real_or_inf(value),
     sources=_list_of(lambda entry: entry),
 )
 _ARRAY_KEYS = {
@@ -245,11 +267,11 @@ _ARRAY_KEYS = {
 }
 _SOURCE_KEYS = dict.fromkeys(("angle_deg", "range", "power"), _real)
 _CAMPAIGN_KEYS = {
-    "sweep": str,
-    "values": _list_of(_real),
+    "sweep": _text,
+    "values": _list_of(_real_or_inf),
     "trials": _whole,
-    "estimators": _list_of(str),
-    "out_dir": _optional(str),
+    "estimators": _list_of(_text),
+    "out_dir": _optional(_text),
 }
 
 

@@ -65,6 +65,23 @@ class Scenario:
         sanity checks); estimators demand at least one source themselves.
         """
         problems = []
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            problems.append(
+                f"snr_db must be finite, or +inf for noiseless data, got {self.snr_db}"
+            )
+        for name, cfg in (("compressed", self.config_compressed),
+                          ("extended", self.config_extended)):
+            if not np.all(np.isfinite([cfg.baseline_spacing, cfg.scale])):
+                problems.append(
+                    f"{name} baseline spacing and scale must be finite, "
+                    f"got {cfg.baseline_spacing}, {cfg.scale}"
+                )
+        for i, src in enumerate(self.sources):
+            if not np.all(np.isfinite([src.angle, src.range, src.power])):
+                problems.append(
+                    f"source {i} angle, range and power must be finite, "
+                    f"got {src.angle}, {src.range}, {src.power}"
+                )
         if self.config_compressed.scale >= 1.0:
             problems.append(
                 f"compressed scale must be < 1, got {self.config_compressed.scale}"

@@ -16,9 +16,14 @@ from sfas.coupling import CouplingModel, decoupling_residual
 from sfas.crb import crb, steering_jacobian
 from sfas.estimators import (
     EstimatorSettings,
+    _mc_cost,
+    _plain_cost,
+    _search_passes,
     decompose,
     oracle_2d_music,
     pair_estimates,
+    stage1_music,
+    stage2_range_search,
     two_stage_localize,
 )
 from sfas.geometry import (
@@ -300,6 +305,76 @@ def test_criterion_5_mc_music_robustness():
         f"rank ratio {worst_ratio:.1e}, median angle error "
         f"{med_robust:.4f} vs {med_plain:.4f} deg over 50 trials",
     )
+
+
+def _refinement_cells(scen, mc_band=None):
+    """Per source of a trial-0 two-stage run, the (pass-1, pass-2) lattice
+    cells of the sparse search, each checked against the full-grid argmin."""
+    block_c = generate_snapshots_compressed(scen)
+    block_e = generate_snapshots_extended(scen, scen.coupling_extended is not None)
+    _, coarse = stage1_music(block_c, 2, scen.source_count)
+    dec = decompose(sample_covariance(block_e), scen.source_count)
+    config = block_e.config
+    cost = _plain_cost(dec, config) if mc_band is None else _mc_cost(dec, mc_band, config)
+    cells = []
+    for angle in coarse:
+        initial = stage2_range_search(dec, angle, SETTINGS.range_grid(), config).initial_range
+        found = _search_passes(cost, angle, initial, SETTINGS)
+        for lattice, cell in (found[:2], found[2:]):
+            full = cost(np.deg2rad(lattice.angles_deg), lattice.ranges)
+            assert cell == np.unravel_index(np.argmin(full), full.shape), "not the full-grid cell"
+        cells.append((found[1], found[3]))
+    return cells
+
+
+CRITERION_SCENES = {
+    "2: noiseless mixed": (
+        Scenario(sources=MIXED_SOURCES, snapshots=500, snr_db=float("inf"), seed=20260810), None
+    ),
+    "3: single-shot mixed": (
+        Scenario(sources=MIXED_SOURCES, snapshots=500, snr_db=20.0, seed=20260810), None
+    ),
+    "4: far, -10 dB": (Scenario(sources=FAR_SOURCES, snr_db=-10.0, seed=42001), None),
+    "4: far, 20 dB": (Scenario(sources=FAR_SOURCES, snr_db=20.0, seed=42001), None),
+    "4: near, -10 dB": (Scenario(sources=NEAR_SOURCES, snr_db=-10.0, seed=43001), None),
+    "4: near, 20 dB": (Scenario(sources=NEAR_SOURCES, snr_db=20.0, seed=43001), None),
+    **{
+        f"5: coupled, 10 dB, {kind}": (
+            Scenario(
+                sources=NEAR_SOURCES,
+                coupling=CouplingModel(band=2),
+                coupling_extended=CouplingModel(0.3, 1.0, 0.0, band=2, symmetric=True),
+                snapshots=500,
+                snr_db=10.0,
+                seed=31,
+            ),
+            band,
+        )
+        for kind, band in (("plain", None), ("robust", 2))
+    },
+}
+
+# ((pass-1 cell), (pass-2 cell)) per source, in stage-1 angle order, as
+# the full-grid search of both pass lattices selects them.
+PINNED_CELLS = {
+    "2: noiseless mixed": [
+        ((40, 30), (16, 15)), ((40, 31), (15, 15)), ((40, 31), (15, 10)), ((40, 29), (15, 14))
+    ],
+    "3: single-shot mixed": [
+        ((38, 30), (16, 15)), ((40, 31), (15, 15)), ((40, 30), (15, 18)), ((40, 28), (15, 19))
+    ],
+    "4: far, -10 dB": [((41, 31), (17, 14)), ((44, 36), (13, 8))],
+    "4: far, 20 dB": [((41, 30), (13, 10)), ((39, 29), (19, 10))],
+    "4: near, -10 dB": [((39, 30), (11, 14)), ((39, 29), (13, 17))],
+    "4: near, 20 dB": [((39, 30), (13, 15)), ((39, 32), (19, 16))],
+    "5: coupled, 10 dB, plain": [((39, 30), (14, 15)), ((39, 32), (16, 14))],
+    "5: coupled, 10 dB, robust": [((39, 30), (13, 15)), ((39, 32), (19, 14))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_SCENES))
+def test_criteria_2_to_5_refinement_cells(name):
+    assert _refinement_cells(*CRITERION_SCENES[name]) == PINNED_CELLS[name]
 
 
 def _mp_entry(theta, r, p):

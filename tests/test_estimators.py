@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
+    _SUBLATTICE_STRIDE,
     DegenerateSubspaceError,
     EstimatorSettings,
     SpectrumGrid,
@@ -19,13 +22,18 @@ from sfas.estimators import (
     stage2_range_search,
     stage2_refine,
     two_stage_localize,
+    _mc_cost,
+    _plain_cost,
+    _search_passes,
 )
 from sfas.geometry import (
     ArrayConfig,
     SourceTruth,
+    array_center,
     esg_manifold_centered,
     ff_manifold,
 )
+from sfas.harness import run_single_shot
 from sfas.simulate import (
     CovarianceEstimate,
     Scenario,
@@ -240,10 +248,12 @@ class TestStage2:
             assert denom < 1e-10 * np.linalg.norm(vec) ** 2
 
     def test_refine_patch_shape_near_vs_far(self, noiseless_mixed_scenario):
-        # near-field spot is peaked along both axes; the far-field ridge
-        # stays sharp in angle but nearly flat along range
-        scen = noiseless_mixed_scenario
-        dec, _ = extended_decomp(scen)
+        # the exported pass-1 patches: the near-field spot is peaked along
+        # both axes; the far-field ridge stays sharp in angle but nearly
+        # flat along range
+        bundle = run_single_shot(noiseless_mixed_scenario)
+        assert bundle.estimate.coarse_angles_deg[[0, -1]] == pytest.approx([-40.0, 30.0], abs=0.1)
+        near, far = bundle.refine_spectra[0], bundle.refine_spectra[-1]
 
         def axis_contrast(spectrum):
             i, j = np.unravel_index(np.argmax(spectrum.values), spectrum.values.shape)
@@ -254,13 +264,114 @@ class TestStage2:
                 range_cut.max() / np.median(range_cut),
             )
 
-        near = stage2_refine(dec, -40.0, 30.0, scen.config_extended, SETTINGS)
-        far = stage2_refine(dec, 30.0, 5000.0, scen.config_extended, SETTINGS)
-        near_angle, near_range = axis_contrast(near.spectrum)
-        far_angle, far_range = axis_contrast(far.spectrum)
+        near_angle, near_range = axis_contrast(near)
+        far_angle, far_range = axis_contrast(far)
         assert near_angle > 10.0 and near_range > 10.0
         assert far_angle > 10.0
         assert far_range < near_range
+
+
+def full_grid_argmin(cost, angles_deg, ranges):
+    """Every cell of one pass lattice and the `np.argmin` cell: the search
+    the sparse lattice search replaces."""
+    values = cost(np.deg2rad(angles_deg), ranges)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return values, (int(i), int(j))
+
+
+def lattice_local_minima(values):
+    """Cells that are the least, by (value, row, column), of their 3x3
+    neighbourhood on the lattice."""
+    n_a, n_r = values.shape
+    padded = np.pad(values, 1, constant_values=np.inf)
+    minimum = np.ones(values.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) == (0, 0):
+                continue
+            other = padded[1 + di : 1 + di + n_a, 1 + dj : 1 + dj + n_r]
+            # a neighbour earlier in row-major order wins a tie
+            minimum &= values < other if (di, dj) < (0, 0) else values <= other
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(minimum))}
+
+
+def sublattice_minimum(values, stride=_SUBLATTICE_STRIDE):
+    rows = np.union1d(np.arange(0, values.shape[0], stride), [values.shape[0] - 1])
+    cols = np.union1d(np.arange(0, values.shape[1], stride), [values.shape[1] - 1])
+    return values[np.ix_(rows, cols)].min()
+
+
+def assert_full_grid_cell(values, cell, full_cell, floor):
+    """The sparse cell is the full-grid argmin; where the lattice holds more
+    than one local minimum it is at least one of them, no worse than
+    `floor` (the sub-lattice minimum in pass 1, the start in pass 2)."""
+    minima = lattice_local_minima(values)
+    if len(minima) == 1:
+        assert cell == full_cell
+    else:
+        assert cell in minima
+        assert values[cell] <= floor
+
+
+class TestSparseRefinement:
+    """The sparse lattice search against the full-grid search it replaces."""
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_full_grid_argmin_in_both_passes(self, data):
+        m = data.draw(st.sampled_from((12, 16, 32)), "elements")
+        k = data.draw(st.integers(1, 3), "sources")
+        angles = np.sort(data.draw(st.lists(
+            st.floats(-60.0, 60.0), min_size=k, max_size=k,
+            unique_by=lambda a: round(a / 8.0)), "angles"))
+        extended = ArrayConfig(m, 0.5, 2.0)
+        near = 1.5 * array_center(extended)
+        ranges = [data.draw(st.floats(near, 3000.0), "range") for _ in range(k)]
+        band = data.draw(st.sampled_from((None, 1, 2)), "mc_band")
+        scen = Scenario(
+            sources=tuple(SourceTruth.from_degrees(a, r) for a, r in zip(angles, ranges)),
+            config_compressed=ArrayConfig(m, 0.5, 0.2),
+            config_extended=extended,
+            coupling=CouplingModel(band=1),
+            coupling_extended=None if band is None else CouplingModel(0.3, 1.0, 0.0, band, True),
+            snapshots=data.draw(st.integers(50, 500), "snapshots"),
+            snr_db=data.draw(st.sampled_from((-5.0, 5.0, 20.0, float("inf"))), "snr_db"),
+            seed=data.draw(st.integers(0, 2**32 - 1), "seed"),
+        )
+        dec, block = extended_decomp(scen, include_coupling=band is not None)
+        config = block.config
+        cost = _plain_cost(dec, config) if band is None else _mc_cost(dec, band, config)
+        src = data.draw(st.integers(0, k - 1), "window source")
+        coarse = angles[src] + data.draw(st.floats(-1.0, 1.0), "angle offset")
+        initial = ranges[src] * data.draw(st.floats(0.8, 1.25), "range factor")
+
+        pass1, cell1, pass2, cell2 = _search_passes(cost, coarse, initial, SETTINGS)
+        values1, full1 = full_grid_argmin(cost, pass1.angles_deg, pass1.ranges)
+        assert_full_grid_cell(values1, cell1, full1, sublattice_minimum(values1))
+        values2, full2 = full_grid_argmin(cost, pass2.angles_deg, pass2.ranges)
+        start = (
+            np.argmin(np.abs(pass2.angles_deg - pass1.angles_deg[cell1[0]])),
+            np.argmin(np.abs(pass2.ranges - pass1.ranges[cell1[1]])),
+        )
+        assert_full_grid_cell(values2, cell2, full2, values2[start])
+        # every value the sparse search read is the full-grid value, up to
+        # rounding on the scale of the column energy M
+        seen = ~np.isnan(pass2.values)
+        np.testing.assert_allclose(pass2.values[seen], values2[seen], rtol=0.0, atol=1e-12 * m)
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    def test_walk_follows_a_valley_between_lattice_directions(self, mixed_scenario, snr_db):
+        # trial 4 of the mixed scene: the pass-2 valley of the 30 wl source
+        # runs between the lattice directions, and a walk that stops at a
+        # 3x3 minimum ends two cells short of the full-grid argmin
+        scen = mixed_scenario.with_snr(snr_db)
+        _, coarse = stage1_music(generate_snapshots_compressed(scen, 4), 2, 4)
+        dec, block = extended_decomp(scen, trial=4)
+        cost = _plain_cost(dec, block.config)
+        search = stage2_range_search(dec, coarse[0], SETTINGS.range_grid(), block.config)
+        pass1, cell1, pass2, cell2 = _search_passes(cost, coarse[0], search.initial_range, SETTINGS)
+        assert cell1 == full_grid_argmin(cost, pass1.angles_deg, pass1.ranges)[1]
+        assert cell2 == full_grid_argmin(cost, pass2.angles_deg, pass2.ranges)[1]
 
 
 class TestMcMusic:
@@ -474,6 +585,33 @@ class TestPairing:
             q = rng.permutation(3)
             rmse = np.sqrt(np.mean(pair_estimates(est[p], truth[q]).angle_errors ** 2))
             assert rmse == pytest.approx(base, rel=1e-12)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_permutation_property(self, data):
+        """The assignment is a permutation reaching the least total angular
+        error; permuting the estimates permutes nothing in the errors
+        whenever that optimum is unique, and never changes its total."""
+        k = data.draw(st.integers(1, 5), "size")
+        angles = st.floats(-90.0, 90.0, allow_subnormal=False)
+        truth = np.array(data.draw(st.lists(angles, min_size=k, max_size=k), "truth"))
+        est = np.array(data.draw(st.lists(angles, min_size=k, max_size=k), "estimates"))
+        ranges = np.arange(1.0, k + 1.0)
+        res = pair_estimates(est, truth, 10.0 * ranges, ranges)
+        assert sorted(res.assignment) == list(range(k))
+        np.testing.assert_array_equal(res.angle_errors, est[res.assignment] - truth)
+        np.testing.assert_array_equal(res.range_errors, 10.0 * ranges[res.assignment] - ranges)
+
+        costs = {p: np.abs(est[list(p)] - truth).sum() for p in itertools.permutations(range(k))}
+        best = min(costs.values())
+        assert np.abs(res.angle_errors).sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+        unique = sum(c <= best + 1e-9 for c in costs.values()) == 1
+        shuffle = np.array(data.draw(st.permutations(range(k)), "shuffle"))
+        moved = pair_estimates(est[shuffle], truth)
+        assert np.abs(moved.angle_errors).sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+        if unique:
+            np.testing.assert_array_equal(moved.angle_errors, res.angle_errors)
+            np.testing.assert_array_equal(shuffle[moved.assignment], res.assignment)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -18,11 +18,13 @@ from sfas.geometry import ArrayConfig, SourceTruth
 from sfas.harness import (
     Campaign,
     ScenarioFileError,
+    campaign_to_dict,
     dump_scenario,
     load_file,
     load_scenario,
     run_campaign,
     run_single_shot,
+    scenario_to_dict,
     validate_scenario,
 )
 from sfas.simulate import Scenario
@@ -179,7 +181,9 @@ class TestScenarioFiles:
     def test_mutated_shipped_files_raise_only_scenario_errors(self, data):
         """A shipped file with one key, at the top level or inside a section
         or source entry, set to a value of any kind either loads or raises
-        ScenarioFileError, never another exception."""
+        ScenarioFileError, never another exception.  What loads holds
+        finite numbers, bar a noiseless SNR of +inf, and text where text is
+        read."""
         name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
         raw = yaml.safe_load((SCENARIO_DIR / name).read_text())
         sections = [raw, *(v for v in raw.values() if isinstance(v, dict)), *raw["sources"]]
@@ -187,6 +191,7 @@ class TestScenarioFiles:
         key = data.draw(st.sampled_from(sorted(section)))
         scalars = (
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+            | st.sampled_from((math.nan, math.inf, -math.inf))
         )
         section[key] = data.draw(
             scalars
@@ -197,9 +202,30 @@ class TestScenarioFiles:
             path = Path(tmp) / name
             path.write_text(yaml.safe_dump(raw))
             try:
-                load_file(path)
+                scenario, settings, campaign = load_file(path)
             except ScenarioFileError:
-                pass
+                return
+        loaded = (
+            campaign_to_dict(campaign) if campaign else scenario_to_dict(scenario, settings)
+        )
+
+        def numbers(node, key=None):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from numbers(v, k)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from numbers(v, key)
+            elif isinstance(node, float):
+                yield key, node
+
+        for key, value in numbers(loaded):
+            snr = key == "snr_db" or (key == "values" and campaign.sweep == "snr_db")
+            assert math.isfinite(value) or (snr and value == math.inf), (key, value)
+        assert isinstance(scenario.label, str)
+        assert campaign is None or all(
+            isinstance(text, str) for text in (campaign.sweep, *campaign.estimators)
+        ) and isinstance(campaign.out_dir, (str, type(None)))
 
     def test_campaign_invariants(self):
         scen = small_scenario()
@@ -657,6 +683,15 @@ class TestCli:
                 "campaign: estimators must be a list, got 'two_stage'",
             'coupling: {symmetric: "false"}':
                 "coupling: symmetric must be true or false, got 'false'",
+            "snr_db: .nan": "snr_db must be finite or .inf, got nan",
+            "snr_db: -.inf": "snr_db must be finite or .inf, got -inf",
+            "array: {scale_compressed: .nan}": "array: scale_compressed must be finite, got nan",
+            "sources: [{angle_deg: 10.0, range: .inf}]":
+                "sources[0]: range must be finite, got inf",
+            "estimator: {flat_spectrum_ratio: .nan}":
+                "estimator: flat_spectrum_ratio must be finite, got nan",
+            "label: [a, b]": "label must be text, got ['a', 'b']",
+            "campaign: {out_dir: {a: 1}}": "campaign: out_dir must be text, got {'a': 1}",
         }
         cases += [
             (f"{base}\n{line}\n", "campaign" if "campaign" in line else "single-shot", [key])

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas.coupling import CouplingModel, coupling_matrix
 from sfas.geometry import ArrayConfig, SourceTruth, esg_steering_centered
@@ -56,6 +57,23 @@ class TestScenarioInvariants:
     def test_source_inside_array_rejected(self):
         with pytest.raises(ValueError, match="half-aperture"):
             Scenario(sources=(SourceTruth.from_degrees(0.0, 10.0),))
+
+    def test_non_finite_numbers_rejected(self):
+        source = SourceTruth.from_degrees(10.0, 100.0)
+        cases = {
+            "snr_db must be finite": dict(snr_db=float("nan")),
+            "snr_db must be finite, or": dict(snr_db=-float("inf")),
+            "compressed baseline spacing and scale must be finite":
+                dict(config_compressed=ArrayConfig(32, 0.5, float("nan"))),
+            "extended baseline spacing and scale must be finite":
+                dict(config_extended=ArrayConfig(32, 0.5, float("inf"))),
+            "source 0 angle, range and power must be finite":
+                dict(sources=(SourceTruth.from_degrees(10.0, float("inf")),)),
+        }
+        for message, override in cases.items():
+            with pytest.raises(ValueError, match=message):
+                Scenario(**{"sources": (source,), **override})
+        assert Scenario(sources=(source,), snr_db=float("inf")).noise_variance == 0.0
 
     def test_noise_variance_from_snr(self):
         scen = single_source_scenario(snr_db=20.0)
@@ -262,6 +280,26 @@ class TestBinaryInterchange:
         save_snapshot_block(block, path, dtype=np.complex64)
         loaded = load_snapshot_block(path)
         np.testing.assert_allclose(loaded.data, block.data, rtol=1e-6, atol=1e-6)
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        n=st.integers(0, 12),
+        dtype=st.sampled_from((np.complex64, np.complex128)),
+        variance=st.floats(0.0, 1e6),
+        scale=st.floats(0.01, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_round_trip(self, tmp_path_factory, m, n, dtype, variance, scale, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        block = SnapshotBlock(data, variance, ArrayConfig(m, 0.5, scale))
+        path = tmp_path_factory.mktemp("blocks") / "block.bin"
+        save_snapshot_block(block, path, dtype=dtype)
+        loaded = load_snapshot_block(path)
+        assert loaded.data.dtype == np.complex128 and loaded.data.shape == (m, n)
+        np.testing.assert_array_equal(loaded.data, data.astype(dtype))
+        assert (loaded.noise_variance, loaded.config) == (variance, block.config)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
