@@ -30,8 +30,8 @@ print("Single source, N = 500, SNR 10 dB, bounds by range (center frame):\n")
 print(f"{'range_wl':>9} {'angle_deg (d=0.5)':>18} {'angle_deg (d=1)':>16} {'range (d=1)':>12}")
 for r in (30.0, 200.0, 1000.0, 5000.0, 1e6):
     src = (SourceTruth.from_degrees(10.77, r),)
-    b1 = crb(src, cfg1, 500, noise, centered=True)
-    b2 = crb(src, cfg2, 500, noise, centered=True)
+    b1 = crb(src, cfg1, 500, noise)
+    b2 = crb(src, cfg2, 500, noise)
     print(
         f"{r:9.0f} {angle_rmse_deg(b1):18.5f} {angle_rmse_deg(b2):16.5f} "
         f"{range_rmse(b2):>12}"

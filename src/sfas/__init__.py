@@ -52,7 +52,6 @@ from .geometry import (
     fresnel_lower_bound,
     fresnel_steering,
     rayleigh_distance,
-    to_element_frame,
 )
 from .harness import (
     Campaign,

@@ -27,7 +27,7 @@ def _load(args) -> Campaign:
     seed = getattr(args, "seed", None)
     if seed is None:
         return campaign
-    return replace(campaign, scenario=replace(campaign.scenario, seed=int(seed)))
+    return replace(campaign, scenario=replace(campaign.scenario, seed=seed))
 
 
 def _cmd_single_shot(args) -> int:
@@ -96,14 +96,22 @@ def _cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"threads must be a whole number >= 1, got {text!r}")
-    return value
+def _whole_number(name: str, minimum: int):
+    """argparse type for a whole number >= `minimum`; anything else is a
+    usage error (exit 2) that names the option."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a whole number >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,21 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("single-shot", help="run the pipeline once, dump spectra")
     single.add_argument("file", type=Path, help="scenario or campaign YAML file")
     single.add_argument("--out", type=Path, default=None, help="output directory")
-    single.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    seed_type = _whole_number("seed", 0)
+    single.add_argument("--seed", type=seed_type, default=None, help="override the scenario seed")
     single.set_defaults(fn=_cmd_single_shot)
 
     camp = sub.add_parser("campaign", help="Monte-Carlo RMSE sweep")
     camp.add_argument("file", type=Path)
     camp.add_argument("--out", type=Path, default=None)
-    camp.add_argument("--seed", type=int, default=None)
+    camp.add_argument("--seed", type=seed_type, default=None)
     camp.add_argument("--trials", type=int, default=None, help="override trial count")
-    camp.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
+    camp.add_argument(
+        "--threads", type=_whole_number("threads", 1), default=1, help="worker threads"
+    )
     camp.set_defaults(fn=_cmd_campaign)
 
     crb_cmd = sub.add_parser("crb", help="export Cramer-Rao bound curves")
     crb_cmd.add_argument("file", type=Path)
     crb_cmd.add_argument("--out", type=Path, required=True)
-    crb_cmd.add_argument("--seed", type=int, default=None)
+    crb_cmd.add_argument("--seed", type=seed_type, default=None)
     crb_cmd.set_defaults(fn=_cmd_crb)
 
     val = sub.add_parser("validate", help="check a scenario against the invariant suite")

@@ -12,15 +12,13 @@ orthogonal complement of the manifold, "." is the elementwise product, and
 G tiles W = R_s A^H R^-1 A R_s (with R = A R_s A^H + sigma^2 I) across the
 two parameter blocks so entry (i, j) weighs the sources the parameters
 belong to.  Bounds are always evaluated on the uncoupled manifold, which
-is how reference curves are conventionally drawn even for coupled data.
+is how reference curves are conventionally drawn even for coupled data,
+with sources located from the array center as in every scenario.
 
-Sources may be parameterized in either frame: `centered=True` matches the
-scenario convention (locations from the array center); the default matches
-the element-frame steering formulas.  Angle variances are rad^2, range
-variances wl^2.  A parameter whose Fisher information vanishes (a
-planar-wavefront source carries no range curvature) is reported as an
-infinite bound rather than a huge float, and the remaining parameters keep
-their finite bounds.
+Angle variances are rad^2, range variances wl^2.  A parameter whose Fisher
+information vanishes (a planar-wavefront source carries no range
+curvature) is reported as an infinite bound rather than a huge float, and
+the remaining parameters keep their finite bounds.
 """
 
 from __future__ import annotations
@@ -33,16 +31,14 @@ import numpy as np
 from .geometry import (
     ArrayConfig,
     SourceTruth,
+    _centered_positions,
     _manifold_from_positions,
-    array_center,
-    element_positions,
 )
 
 __all__ = [
     "FisherBlock",
     "CrbResult",
     "steering_jacobian",
-    "steering_jacobian_centered",
     "fisher_information",
     "crb",
     "crb_for_scenario",
@@ -99,14 +95,10 @@ def _steering_and_jacobian(
     amp_theta = r * cos_t * (q - q0) * (r * r - q * q0) / (d0 * d0 * dist * dist)
     # ddist/dtheta - (same at ref) = -r cos * (q/d - q0/d0); rationalize when
     # both offsets share a sign, otherwise the plain difference is stable
-    if q0 == 0.0:
-        ratio_diff = q / dist
-    else:
-        num = (q - q0) * (r * r * (q + q0) - 2.0 * r * sin_t * q * q0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rationalized = num / (d0 * dist * (q * d0 + q0 * dist))
-        direct = q / dist - q0 / d0
-        ratio_diff = np.where(q * q0 > 0.0, rationalized, direct)
+    num = (q - q0) * (r * r * (q + q0) - 2.0 * r * sin_t * q * q0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rationalized = num / (d0 * dist * (q * d0 + q0 * dist))
+    ratio_diff = np.where(q * q0 > 0.0, rationalized, q / dist - q0 / d0)
     phase_theta = -r * cos_t * ratio_diff
     d_theta = vec * (amp_theta + 2j * np.pi * phase_theta)
 
@@ -125,23 +117,15 @@ def _steering_and_jacobian(
 
 
 def steering_jacobian(source: SourceTruth, config: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form partials of the element-frame exact steering vector.
+    """Closed-form partials of the exact steering vector of a source located
+    from the array center.
 
-    Both the amplitude taper r/r_m and the phase 2*pi*(r_m - r) are
+    Both the amplitude taper d_0/d_m and the phase 2*pi*(d_m - d_0) are
     differentiated through the exact distances.  Returns
-    (d/dtheta, d/drange); the reference-element entries are identically 0
+    (d/dtheta, d/drange); the first-element entries are identically 0
     because that entry is the constant 1.
     """
-    _, d_theta, d_range = _steering_and_jacobian(source, element_positions(config))
-    return d_theta, d_range
-
-
-def steering_jacobian_centered(
-    source: SourceTruth, config: ArrayConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of the steering vector for a center-frame source location."""
-    positions = element_positions(config) - array_center(config)
-    _, d_theta, d_range = _steering_and_jacobian(source, positions)
+    _, d_theta, d_range = _steering_and_jacobian(source, _centered_positions(config))
     return d_theta, d_range
 
 
@@ -150,7 +134,6 @@ def fisher_information(
     config: ArrayConfig,
     snapshots: int,
     noise_variance: float,
-    centered: bool = False,
 ) -> FisherBlock:
     """Stochastic-signal Fisher information for (angles..., ranges...)."""
     if noise_variance <= 0.0:
@@ -158,9 +141,7 @@ def fisher_information(
     if snapshots < 1:
         raise ValueError(f"snapshots must be >= 1, got {snapshots}")
     sources = tuple(sources)
-    positions = element_positions(config)
-    if centered:
-        positions = positions - array_center(config)
+    positions = _centered_positions(config)
     parts = [_steering_and_jacobian(src, positions) for src in sources]
     manifold = np.column_stack([p[0] for p in parts])
     deriv = np.column_stack([p[1] for p in parts] + [p[2] for p in parts])
@@ -210,24 +191,20 @@ def crb(
     config: ArrayConfig,
     snapshots: int,
     noise_variance: float,
-    centered: bool = False,
 ) -> CrbResult:
     """Per-source angle (rad^2) and range (wl^2) variance bounds."""
-    fisher = fisher_information(sources, config, snapshots, noise_variance, centered)
+    fisher = fisher_information(sources, config, snapshots, noise_variance)
     k = len(fisher.sources)
     diag = _invert_with_markers(fisher.matrix)
     return CrbResult(diag[:k].copy(), diag[k:].copy(), fisher)
 
 
 def crb_for_scenario(scenario, config: ArrayConfig | None = None) -> CrbResult:
-    """Bounds at a scenario's snapshot count, noise level and source frame.
+    """Bounds at a scenario's snapshot count and noise level.
 
     Defaults to the extended configuration; pass any other config to rate
-    alternative geometries on the same (center-frame) sources.
+    alternative geometries on the same sources.
     """
     if config is None:
         config = scenario.config_extended
-    return crb(
-        scenario.sources, config, scenario.snapshots, scenario.noise_variance,
-        centered=True,
-    )
+    return crb(scenario.sources, config, scenario.snapshots, scenario.noise_variance)

@@ -5,14 +5,14 @@ positions, apertures and source ranges are directly comparable across
 configurations.  Angles are radians internally; degrees appear only at
 user-facing interfaces (see :mod:`sfas.harness`).
 
-Two coordinate frames appear in this package.  The steering formulas here
-(:func:`esg_distance`, :func:`esg_steering`, :func:`fresnel_steering`) take
-(angle, range) measured at the first element, which sits at position 0 and
-pins the first steering entry to exactly 1.  Scenario-level code describes
-sources relative to the *array center* instead, because the physical array
-stretches and compresses about its center while sources stay put;
-:func:`to_element_frame` converts, and :func:`esg_manifold_centered`
-evaluates the exact steering directly over center-frame grids.
+Sources are located by (angle, range) from the *array center*, which
+stays put while the array stretches and compresses about it;
+:func:`esg_steering_centered` and :func:`esg_manifold_centered` evaluate
+the exact steering there.  The single-source formulas
+(:func:`esg_distance`, :func:`esg_steering`, :func:`fresnel_steering`,
+:func:`ff_steering`) are the paper's, measured from the first element at
+position 0.  Every steering vector is normalized so its first entry is
+exactly 1.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "ff_steering",
     "fresnel_steering",
     "ff_manifold",
-    "esg_manifold",
-    "to_element_frame",
     "esg_steering_centered",
     "esg_manifold_centered",
 ]
@@ -83,17 +81,13 @@ class ArrayConfig:
 class SourceTruth:
     """Ground-truth source location and power.
 
-    The (angle, range) pair is read in whatever frame the consumer
-    documents: scenarios locate sources relative to the array center,
-    while the steering formulas below use the first element as origin
-    (:func:`to_element_frame` maps between them).
-
     Attributes
     ----------
     angle:
         Direction of arrival in radians, strictly inside (-pi/2, pi/2).
     range:
-        Distance from the frame origin in wavelengths, > 0.
+        Distance in wavelengths, > 0: from the array center, or from the
+        first element in the paper's single-source formulas.
     power:
         Source signal power, > 0.
     """
@@ -176,9 +170,7 @@ def esg_steering(source: SourceTruth, config: ArrayConfig) -> np.ndarray:
     from the source to element m.  The first entry is exactly 1 because the
     reference element sits at the origin.
     """
-    positions = element_positions(config)
-    esg_distance(source, positions)  # rejects a source on top of an element
-    return _manifold_from_positions([source.angle], [source.range], positions)[:, 0]
+    return _steering_from_positions(source, element_positions(config))
 
 
 def ff_steering(angle: float, config: ArrayConfig) -> np.ndarray:
@@ -209,15 +201,6 @@ def ff_manifold(angles: np.ndarray, config: ArrayConfig) -> np.ndarray:
     return np.exp(-1j * TWO_PI * np.outer(p, np.sin(np.asarray(angles, dtype=float))))
 
 
-def esg_manifold(angles: np.ndarray, ranges: np.ndarray, config: ArrayConfig) -> np.ndarray:
-    """Exact-geometry manifold over paired (angle, range) points.
-
-    `angles` (radians) and `ranges` (wavelengths) must have equal length G;
-    returns shape (M, G).  The first row is pinned to exactly 1.
-    """
-    return _manifold_from_positions(angles, ranges, element_positions(config))
-
-
 def _manifold_from_positions(angles, ranges, positions: np.ndarray) -> np.ndarray:
     """Steering columns for sources at (angle, range) from `positions`' frame
     origin, normalized so the row of the first element is exactly 1."""
@@ -233,36 +216,28 @@ def _manifold_from_positions(angles, ranges, positions: np.ndarray) -> np.ndarra
     return man
 
 
-def to_element_frame(source: SourceTruth, config: ArrayConfig) -> SourceTruth:
-    """Re-express a center-frame source relative to the first element.
+def _centered_positions(config: ArrayConfig) -> np.ndarray:
+    return element_positions(config) - array_center(config)
 
-    A source at (theta, r) from the array center sits at distance
-    sqrt(r^2 + c^2 + 2*r*c*sin(theta)) from the first element (c is the
-    center offset); the returned SourceTruth feeds the element-frame
-    steering formulas and describes the identical physical location.
-    """
-    c = array_center(config)
-    x = source.range * np.sin(source.angle) + c
-    y = source.range * np.cos(source.angle)
-    return SourceTruth(float(np.arctan2(x, y)), float(np.hypot(x, y)), source.power)
+
+def _steering_from_positions(source: SourceTruth, positions: np.ndarray) -> np.ndarray:
+    esg_distance(source, positions)  # rejects a source on top of an element
+    return _manifold_from_positions([source.angle], [source.range], positions)[:, 0]
 
 
 def esg_steering_centered(source: SourceTruth, config: ArrayConfig) -> np.ndarray:
     """Exact steering for a source located relative to the array center.
 
-    Identical physical channel as :func:`esg_steering` after
-    :func:`to_element_frame`; the first entry stays exactly 1.
+    One column of :func:`esg_manifold_centered`; the first entry is
+    exactly 1.
     """
-    return esg_steering(to_element_frame(source, config), config)
+    return _steering_from_positions(source, _centered_positions(config))
 
 
 def esg_manifold_centered(angles, ranges, config: ArrayConfig) -> np.ndarray:
     """Exact-geometry manifold over paired center-frame (angle, range) points.
 
-    Equivalent to converting every grid point through
-    :func:`to_element_frame`; implemented directly with center-offset
-    element positions for speed.  Shape (M, G), first row exactly 1.
+    `angles` (radians) and `ranges` (wavelengths) must have equal length G;
+    returns shape (M, G), first row exactly 1.
     """
-    return _manifold_from_positions(
-        angles, ranges, element_positions(config) - array_center(config)
-    )
+    return _manifold_from_positions(angles, ranges, _centered_positions(config))

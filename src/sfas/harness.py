@@ -43,7 +43,7 @@ from .estimators import (
 from .geometry import (
     ArrayConfig,
     SourceTruth,
-    esg_steering,
+    esg_steering_centered,
     ff_steering,
     rayleigh_distance,
 )
@@ -724,7 +724,7 @@ def _bounds(scenario: Scenario) -> tuple[CrbResult, CrbResult]:
     """Bounds on the fixed half-wavelength baseline array (scale 1) and on
     the extended configuration, at the scenario's snapshots and noise."""
     crb1, crb2 = (
-        crb(scenario.sources, config, scenario.snapshots, scenario.noise_variance, centered=True)
+        crb(scenario.sources, config, scenario.snapshots, scenario.noise_variance)
         for config in (scenario.config_compressed.with_scale(1.0), scenario.config_extended)
     )
     return crb1, crb2
@@ -871,7 +871,7 @@ def validate_scenario(scenario: Scenario) -> list[tuple[str, bool, str]]:
     config_e = scenario.config_extended
 
     first_entries = [
-        esg_steering(src, cfg)[0]
+        esg_steering_centered(src, cfg)[0]
         for src in scenario.sources
         for cfg in (config_c, config_e)
     ]

@@ -1,9 +1,8 @@
 """Ground-truth snapshot generation and sample covariance estimation.
 
-Scenario sources are located by (angle, range) from the *array center*:
-the array stretches and compresses about its center while sources stay
-put, so the center is the one reference shared by both configurations.
-Data is always synthesized from the exact-geometry propagation model (the
+Scenario sources are located by (angle, range) from the array center, the
+one point both configurations share (see :mod:`sfas.geometry`).  Data is
+always synthesized from the exact-geometry propagation model (the
 far-field form is an estimator-side approximation, never the truth), with
 coupling applied in the compressed configuration and optionally in the
 extended one.  Every random draw comes from a named stream keyed by
@@ -117,6 +116,8 @@ class Scenario:
                 )
         if self.snapshots < 1:
             problems.append(f"snapshots must be >= 1, got {self.snapshots}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         return problems
 
     @property
@@ -293,6 +294,14 @@ def load_snapshot_block(path) -> SnapshotBlock:
         raise ValueError(f"{path} is not a snapshot block file")
     if code not in _DTYPES:
         raise ValueError(f"{path}: unknown dtype code {code}")
+    if m < 2:
+        raise ValueError(f"{path}: M={m} elements, need at least 2")
+    if not np.all(np.isfinite([scale, d0])) or min(scale, d0) <= 0.0:
+        raise ValueError(
+            f"{path}: scale {scale} and baseline spacing {d0} must be finite and > 0"
+        )
+    if not np.isfinite(variance) or variance < 0.0:
+        raise ValueError(f"{path}: noise variance {variance} must be finite and >= 0")
     dtype = np.dtype(_DTYPES[code])
     payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != m * n * dtype.itemsize:

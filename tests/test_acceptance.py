@@ -29,6 +29,7 @@ from sfas.estimators import (
 from sfas.geometry import (
     ArrayConfig,
     SourceTruth,
+    array_center,
     element_positions,
     esg_manifold_centered,
 )
@@ -377,10 +378,11 @@ def test_criteria_2_to_5_refinement_cells(name):
     assert _refinement_cells(*CRITERION_SCENES[name]) == PINNED_CELLS[name]
 
 
-def _mp_entry(theta, r, p):
-    theta, r, p = mp.mpf(theta), mp.mpf(r), mp.mpf(p)
+def _mp_entry(theta, r, p, p0):
+    theta, r, p, p0 = mp.mpf(theta), mp.mpf(r), mp.mpf(p), mp.mpf(p0)
     dist = mp.sqrt(r * r + p * p - 2 * r * p * mp.sin(theta))
-    return (r / dist) * mp.e ** (1j * 2 * mp.pi * (dist - r))
+    d0 = mp.sqrt(r * r + p0 * p0 - 2 * r * p0 * mp.sin(theta))
+    return (d0 / dist) * mp.e ** (1j * 2 * mp.pi * (dist - d0))
 
 
 def test_criterion_6_crb_self_consistency():
@@ -392,18 +394,19 @@ def test_criterion_6_crb_self_consistency():
         cfg = ArrayConfig(6, 0.5, float(rng.uniform(0.1, 5.0)))
         theta = float(rng.uniform(-1.3, 1.3))
         r = float(10 ** rng.uniform(0.8, 6.0))
-        if r <= element_positions(cfg)[-1]:
+        pos = element_positions(cfg) - array_center(cfg)
+        if r <= pos[-1]:
             continue
         d_theta, d_range = steering_jacobian(SourceTruth(theta, r), cfg)
-        pos = element_positions(cfg)
+        p0 = pos[0]
         for analytic, wrt in ((d_theta, "theta"), (d_range, "range")):
             h = mp.mpf("1e-12") * (1 if wrt == "theta" else r)
             for m, p in enumerate(pos[1:], start=1):
                 if wrt == "theta":
-                    oracle = (_mp_entry(theta + h, r, p) - _mp_entry(theta - h, r, p)) / (2 * h)
+                    hi, lo = _mp_entry(theta + h, r, p, p0), _mp_entry(theta - h, r, p, p0)
                 else:
-                    oracle = (_mp_entry(theta, r + h, p) - _mp_entry(theta, r - h, p)) / (2 * h)
-                oracle = complex(oracle)
+                    hi, lo = _mp_entry(theta, r + h, p, p0), _mp_entry(theta, r - h, p, p0)
+                oracle = complex((hi - lo) / (2 * h))
                 worst_fd = max(
                     worst_fd, abs(analytic[m] - oracle) / max(abs(oracle), 1e-30)
                 )
@@ -411,8 +414,8 @@ def test_criterion_6_crb_self_consistency():
 
     src = (SourceTruth.from_degrees(-20.66, 30.0),)
     cfg = ArrayConfig(32, 0.5, 2.0)
-    one = crb(src, cfg, 500, 0.1, centered=True)
-    two = crb(src, cfg, 1000, 0.1, centered=True)
+    one = crb(src, cfg, 500, 0.1)
+    two = crb(src, cfg, 1000, 0.1)
     np.testing.assert_allclose(two.angle_variance, one.angle_variance / 2, rtol=1e-12)
     np.testing.assert_allclose(two.range_variance, one.range_variance / 2, rtol=1e-12)
 

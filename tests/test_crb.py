@@ -7,21 +7,23 @@ from sfas.crb import (
     crb_for_scenario,
     fisher_information,
     steering_jacobian,
-    steering_jacobian_centered,
 )
 from sfas.geometry import (
     ArrayConfig,
     SourceTruth,
+    array_center,
     element_positions,
-    esg_steering,
+    esg_steering_centered,
 )
 
 
-def mp_steering_entry(theta, r, p):
-    """One exact steering entry at 40-digit precision (element frame)."""
-    theta, r, p = mp.mpf(theta), mp.mpf(r), mp.mpf(p)
+def mp_steering_entry(theta, r, p, p0):
+    """One exact steering entry at 40-digit precision: element at p,
+    normalized at the first element p0, source located from the origin."""
+    theta, r, p, p0 = mp.mpf(theta), mp.mpf(r), mp.mpf(p), mp.mpf(p0)
     dist = mp.sqrt(r * r + p * p - 2 * r * p * mp.sin(theta))
-    return (r / dist) * mp.e ** (1j * 2 * mp.pi * (dist - r))
+    d0 = mp.sqrt(r * r + p0 * p0 - 2 * r * p0 * mp.sin(theta))
+    return (d0 / dist) * mp.e ** (1j * 2 * mp.pi * (dist - d0))
 
 
 def mp_jacobian(theta, r, positions, wrt):
@@ -31,11 +33,11 @@ def mp_jacobian(theta, r, positions, wrt):
     out = []
     for p in positions:
         if wrt == "theta":
-            hi = mp_steering_entry(theta + h, r, p)
-            lo = mp_steering_entry(theta - h, r, p)
+            hi = mp_steering_entry(theta + h, r, p, positions[0])
+            lo = mp_steering_entry(theta - h, r, p, positions[0])
         else:
-            hi = mp_steering_entry(theta, r + h, p)
-            lo = mp_steering_entry(theta, r - h, p)
+            hi = mp_steering_entry(theta, r + h, p, positions[0])
+            lo = mp_steering_entry(theta, r - h, p, positions[0])
         out.append(complex((hi - lo) / (2 * h)))
     return np.array(out)
 
@@ -55,8 +57,8 @@ class TestSteeringJacobian:
         d_theta, _ = steering_jacobian(src, cfg)
         h = 1e-6
         fd = (
-            esg_steering(SourceTruth(src.angle + h, src.range), cfg)
-            - esg_steering(SourceTruth(src.angle - h, src.range), cfg)
+            esg_steering_centered(SourceTruth(src.angle + h, src.range), cfg)
+            - esg_steering_centered(SourceTruth(src.angle - h, src.range), cfg)
         ) / (2 * h)
         rel = np.abs(d_theta[1:] - fd[1:]) / np.abs(fd[1:])
         assert np.max(rel) < 1e-5
@@ -70,10 +72,10 @@ class TestSteeringJacobian:
             theta = float(rng.uniform(-1.3, 1.3))
             r = float(10 ** rng.uniform(0.8, 6.0))
             src = SourceTruth(theta, r)
-            if r <= element_positions(cfg)[-1]:
+            pos = element_positions(cfg) - array_center(cfg)
+            if r <= pos[-1]:
                 continue
             d_theta, d_range = steering_jacobian(src, cfg)
-            pos = element_positions(cfg)
             for analytic, wrt in ((d_theta, "theta"), (d_range, "range")):
                 oracle = mp_jacobian(theta, r, pos, wrt)
                 denom = np.maximum(np.abs(oracle[1:]), 1e-30)
@@ -92,10 +94,8 @@ class TestSteeringJacobian:
     def test_centered_variant_consistent(self):
         cfg = ArrayConfig(8, 0.5, 2.0)
         src = SourceTruth.from_degrees(15.0, 60.0)
-        d_theta, d_range = steering_jacobian_centered(src, cfg)
+        d_theta, d_range = steering_jacobian(src, cfg)
         h = 1e-7
-        from sfas.geometry import esg_steering_centered
-
         fd_t = (
             esg_steering_centered(SourceTruth(src.angle + h, src.range), cfg)
             - esg_steering_centered(SourceTruth(src.angle - h, src.range), cfg)
@@ -123,8 +123,8 @@ class TestFisherAndCrb:
     def test_doubling_snapshots_halves_bounds(self):
         src = (SourceTruth.from_degrees(-20.66, 30.0),)
         cfg = ArrayConfig(32, 0.5, 2.0)
-        one = crb(src, cfg, 500, 0.1, centered=True)
-        two = crb(src, cfg, 1000, 0.1, centered=True)
+        one = crb(src, cfg, 500, 0.1)
+        two = crb(src, cfg, 1000, 0.1)
         np.testing.assert_allclose(two.angle_variance, one.angle_variance / 2, rtol=1e-12)
         np.testing.assert_allclose(two.range_variance, one.range_variance / 2, rtol=1e-12)
 
@@ -144,12 +144,12 @@ class TestFisherAndCrb:
         src = (SourceTruth.from_degrees(-20.66, 30.0),)
         cfg = ArrayConfig(32, 0.5, 2.0)
         angle_bounds = [
-            crb(src, cfg, 500, 10 ** (-snr / 10), centered=True).angle_variance[0]
+            crb(src, cfg, 500, 10 ** (-snr / 10)).angle_variance[0]
             for snr in (-10, 0, 10, 20)
         ]
         assert all(b < a for a, b in zip(angle_bounds, angle_bounds[1:]))
         by_n = [
-            crb(src, cfg, n, 1.0, centered=True).angle_variance[0]
+            crb(src, cfg, n, 1.0).angle_variance[0]
             for n in (100, 200, 400, 800)
         ]
         assert all(b < a for a, b in zip(by_n, by_n[1:]))
@@ -160,7 +160,6 @@ class TestFisherAndCrb:
             ArrayConfig(32, 0.5, 2.0),
             500,
             0.1,
-            centered=True,
         )
         assert np.all(np.isfinite(res.angle_variance))
         assert np.all(np.isfinite(res.range_variance))
@@ -174,7 +173,6 @@ class TestFisherAndCrb:
             mixed_scenario.config_extended,
             mixed_scenario.snapshots,
             mixed_scenario.noise_variance,
-            centered=True,
         )
         np.testing.assert_allclose(res.angle_variance, direct.angle_variance)
 

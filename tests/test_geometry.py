@@ -8,7 +8,6 @@ from sfas.geometry import (
     array_center,
     element_positions,
     esg_distance,
-    esg_manifold,
     esg_manifold_centered,
     esg_steering,
     esg_steering_centered,
@@ -17,7 +16,6 @@ from sfas.geometry import (
     fresnel_lower_bound,
     fresnel_steering,
     rayleigh_distance,
-    to_element_frame,
 )
 
 # Second-order expansion vs exact steering at (20 deg, 30 wl, M=32, d=0.5):
@@ -25,6 +23,15 @@ from sfas.geometry import (
 # Deep inside the Fresnel zone the quadratic expansion is off by radians,
 # which is the regime the exact model exists for.
 FRESNEL_VS_EXACT_PHASE_DEV = 2.7587776528913377
+
+
+def to_element_frame(source, config):
+    """Oracle: the same physical point as (angle, range) from the first
+    element instead of the array center."""
+    c = array_center(config)
+    x = source.range * np.sin(source.angle) + c
+    y = source.range * np.cos(source.angle)
+    return SourceTruth(float(np.arctan2(x, y)), float(np.hypot(x, y)), source.power)
 
 
 class TestArrayConfig:
@@ -212,19 +219,23 @@ class TestFrames:
         for _ in range(20):
             src = SourceTruth(rng.uniform(-1.2, 1.2), rng.uniform(9.0, 5000.0))
             direct = esg_steering_centered(src, cfg)
-            grid = esg_manifold_centered(
-                np.array([src.angle]), np.array([src.range]), cfg
-            )[:, 0]
-            np.testing.assert_allclose(direct, grid, rtol=1e-10, atol=1e-12)
+            converted = esg_steering(to_element_frame(src, cfg), cfg)
+            np.testing.assert_allclose(direct, converted, rtol=1e-10, atol=1e-12)
+
+    def test_centered_coincident_source_rejected(self):
+        # the last element sits half an aperture from the center, at 90 deg
+        cfg = ArrayConfig(7, 0.5, 1.0)
+        with pytest.raises(ValueError, match="coincides"):
+            esg_steering_centered(SourceTruth(np.pi / 2 - 1e-9, array_center(cfg)), cfg)
 
     def test_manifold_matches_steering_columns(self):
         cfg = ArrayConfig(8, 0.5, 1.0)
         angles = np.deg2rad([-20.0, 5.0, 40.0])
         ranges = np.array([25.0, 300.0, 4e3])
-        man = esg_manifold(angles, ranges, cfg)
+        man = esg_manifold_centered(angles, ranges, cfg)
         for j, (a, r) in enumerate(zip(angles, ranges)):
             np.testing.assert_allclose(
-                man[:, j], esg_steering(SourceTruth(a, r), cfg), rtol=1e-12
+                man[:, j], esg_steering_centered(SourceTruth(a, r), cfg), rtol=1e-12
             )
 
     def test_ff_manifold_matches_columns(self):

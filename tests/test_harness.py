@@ -601,6 +601,14 @@ class TestCli:
             assert exit_info.value.code == 2
             assert f"threads must be a whole number >= 1, got '{bad}'" in capsys.readouterr().err
 
+        # So is a negative seed, on every verb that takes one; nothing is written.
+        for verb in ("single-shot", "campaign", "crb"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([verb, str(path), "--seed", "-1", "--out", str(tmp_path / "neg")])
+            assert exit_info.value.code == 2
+            assert "seed must be a whole number >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
+
     def test_crb_verb(self, tmp_path):
         rc = cli_main(
             [
@@ -676,6 +684,7 @@ class TestCli:
             "campaign: {values: [a, b]}": "campaign: values must be a number, got 'a'",
             "campaign: {trials: many}": "campaign: trials must be a whole number, got 'many'",
             "seed: 1.9": "seed must be a whole number, got 1.9",
+            "seed: -5": "seed must be >= 0, got -5",
             "coupling: {band: 2.5}": "coupling: band must be a whole number, got 2.5",
             "campaign: {trials: 2.5}": "campaign: trials must be a whole number, got 2.5",
             "array: {element_count: 2.7}": "array: element_count must be a whole number, got 2.7",
