@@ -87,7 +87,8 @@ def _cmd_crb(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    checks = validate_scenario(_load(args).scenario)
+    campaign = _load(args)
+    checks = validate_scenario(campaign.scenario, campaign.settings)
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")

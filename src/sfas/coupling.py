@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .geometry import ArrayConfig, ff_manifold
 
@@ -111,14 +112,8 @@ def coupling_matrix(config: ArrayConfig, model: CouplingModel) -> np.ndarray:
         raise ValueError(
             f"band {model.band} exceeds the largest lag {config.element_count - 1}"
         )
-    m = config.element_count
     coeff = coupling_coefficients(config, model)
-    mat = np.eye(m, dtype=complex)
-    for lag in range(1, min(model.band, m - 1) + 1):
-        idx = np.arange(m - lag)
-        mat[idx, idx + lag] = coeff[lag]
-        mat[idx + lag, idx] = coeff[lag] if model.symmetric else np.conj(coeff[lag])
-    return mat
+    return toeplitz(coeff if model.symmetric else coeff.conj(), coeff)
 
 
 def selection_matrix(element_count: int, trim: int) -> np.ndarray:

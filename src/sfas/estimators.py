@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -71,7 +70,8 @@ class EstimatorSettings:
 
     `trim` of None defers to the coupling band of the scenario in play.
     The two refinement passes use (angle step in degrees, range step as a
-    fraction of the initial range estimate).
+    fraction of the initial range estimate); each step must fit the span
+    it steps across: the window for pass 1, 1.5 pass-1 steps for pass 2.
     """
 
     trim: int | None = None
@@ -107,6 +107,15 @@ class EstimatorSettings:
              f"-90 <= angle_min_deg < angle_max_deg <= 90 "
              f"(got {self.angle_min_deg}, {self.angle_max_deg})"),
         ]
+        for step, k, span in (
+            ("pass1_angle_step_deg", 1.0, "window_angle_deg"),
+            ("pass1_range_fraction", 1.0, "window_range_fraction"),
+            ("pass2_angle_step_deg", 1.5, "pass1_angle_step_deg"),
+            ("pass2_range_fraction", 1.5, "pass1_range_fraction"),
+        ):
+            value, bound = getattr(self, step), getattr(self, span)
+            within = span if k == 1.0 else f"{k} * {span}"
+            rules.append((value <= k * bound, f"{step} <= {within} (got {value}, {bound})"))
         broken = [rule for ok, rule in rules if not ok]
         if broken:
             raise ValueError("settings must satisfy " + "; ".join(broken))
@@ -195,10 +204,16 @@ def decompose(covariance: CovarianceEstimate, source_count: int) -> SubspaceDeco
     )
 
 
-def _noise_quadratic(noise_basis: np.ndarray, manifold: np.ndarray) -> np.ndarray:
-    """||U_n^H a||^2 per manifold column; the MUSIC denominator."""
-    proj = noise_basis.conj().T @ manifold
-    return np.einsum("ij,ij->j", proj.conj(), proj).real
+def _noise_quadratic(noise_basis: np.ndarray):
+    """The MUSIC denominator ||U_n^H a||^2 per manifold column, as a
+    function of the manifold; U_n^H is formed once."""
+    adjoint = noise_basis.conj().T
+
+    def cost(manifold: np.ndarray) -> np.ndarray:
+        proj = adjoint @ manifold
+        return np.einsum("ij,ij->j", proj.conj(), proj).real
+
+    return cost
 
 
 def _spectrum(denominator: np.ndarray) -> np.ndarray:
@@ -263,18 +278,22 @@ def stage1_music(
         raise ValueError(
             f"trim {trim} leaves {m - 2 * trim} elements for {source_count} sources"
         )
+    grid = _far_field_scan(block, trim, source_count, angle_grid_deg)
+    peaks = find_spectrum_peaks(grid.axes[0], grid.values, source_count, min_peak_separation_deg)
+    return grid, peaks
+
+
+def _far_field_scan(block: SnapshotBlock, trim: int, source_count: int, angle_grid_deg):
+    """Far-field MUSIC spectrum of the central M - 2*trim rows/columns of the sample covariance."""
     if angle_grid_deg is None:
         angle_grid_deg = EstimatorSettings().angle_grid_deg()
+    m = block.config.element_count
     cov = sample_covariance(block)
     central = cov.matrix[trim : m - trim, trim : m - trim]
     decomp = decompose(CovarianceEstimate(central, cov.snapshot_count), source_count)
     manifold = ff_manifold(np.deg2rad(angle_grid_deg), block.config)[trim : m - trim, :]
-    values = _spectrum(_noise_quadratic(decomp.noise_basis, manifold))
-    grid = SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
-    coarse = find_spectrum_peaks(
-        angle_grid_deg, values, source_count, min_peak_separation_deg
-    )
-    return grid, coarse
+    values = _spectrum(_noise_quadratic(decomp.noise_basis)(manifold))
+    return SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
 
 
 @dataclass(frozen=True)
@@ -298,14 +317,12 @@ def stage2_range_search(
     `flat_spectrum_ratio`) the source is effectively planar and the result
     is flagged: its range is reported but carries little information.
     """
-    theta = np.deg2rad(coarse_angle_deg)
-    manifold = esg_manifold_centered(
-        np.full(len(range_grid), theta), np.asarray(range_grid, float), config_extended
-    )
-    values = _spectrum(_noise_quadratic(decomp_extended.noise_basis, manifold))
+    ranges = np.asarray(range_grid, float)
+    angles = np.full(len(ranges), np.deg2rad(coarse_angle_deg))
+    values = _spectrum(_plain_cost(decomp_extended, config_extended)(angles, ranges))
     best = int(np.argmax(values))
     flat = bool(values[best] < flat_spectrum_ratio * np.median(values))
-    grid = SpectrumGrid((np.asarray(range_grid, float),), ("range_wl",), values)
+    grid = SpectrumGrid((ranges,), ("range_wl",), values)
     return RangeSearchResult(grid, float(range_grid[best]), flat)
 
 
@@ -381,9 +398,7 @@ class _Lattice:
         new = np.isnan(self.values[ii, jj])
         if new.any():
             i, j = ii[new], jj[new]
-            self.values[i, j] = self._cost(
-                np.deg2rad(self.angles_deg[i]), self.ranges[j], paired=True
-            )
+            self.values[i, j] = self._cost(np.deg2rad(self.angles_deg[i]), self.ranges[j])
         k, m = divmod(int(np.argmin(self.values[ii, jj])), len(cols))
         return int(rows[k]), int(cols[m])
 
@@ -422,13 +437,13 @@ def _parabolic_vertex(d_lo: float, d_mid: float, d_hi: float) -> float:
     return float(np.clip(0.5 * (d_lo - d_hi) / curvature, -1.0, 1.0))
 
 
-def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float]:
+def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
     """Sub-grid offsets of the minimum of a quadratic fit to a 3x3 patch.
 
     Least-squares fit of d = p0 + p1 x + p2 y + p3 x^2 + p4 y^2 + p5 xy on
     unit-spaced offsets; exact for any quadratic surface, cross term
-    included, which matters on tilted angle/range ridges.  Falls back to
-    per-axis parabolas when the fitted Hessian is not positive definite.
+    included, which matters on tilted angle/range ridges.  None when the
+    fitted Hessian is not positive definite.
     """
     x, y = np.meshgrid((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), indexing="ij")
     x = x.ravel()
@@ -438,12 +453,25 @@ def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float]:
     hess = np.array([[2.0 * p[3], p[5]], [p[5], 2.0 * p[4]]])
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     if hess[0, 0] <= 0.0 or det <= 0.0:
-        return (
-            _parabolic_vertex(patch[0, 1], patch[1, 1], patch[2, 1]),
-            _parabolic_vertex(patch[1, 0], patch[1, 1], patch[1, 2]),
-        )
+        return None
     dx, dy = np.linalg.solve(hess, [-p[1], -p[2]])
     return float(np.clip(dx, -1.0, 1.0)), float(np.clip(dy, -1.0, 1.0))
+
+
+def _subcell_offsets(values: np.ndarray, i: int, j: int) -> tuple[float, float]:
+    """Offsets, in lattice steps, of the minimum near cell (i, j): the 2-D
+    fit on an interior cell, else (or where that fit is not convex) a
+    parabola along each axis on which the cell is interior."""
+    inner_a = 0 < i < values.shape[0] - 1
+    inner_r = 0 < j < values.shape[1] - 1
+    if inner_a and inner_r:
+        fit = _quadratic_vertex_2d(values[i - 1 : i + 2, j - 1 : j + 2])
+        if fit is not None:
+            return fit
+    return (
+        _parabolic_vertex(*values[i - 1 : i + 2, j]) if inner_a else 0.0,
+        _parabolic_vertex(*values[i, j - 1 : j + 2]) if inner_r else 0.0,
+    )
 
 
 def _search_passes(
@@ -498,29 +526,12 @@ def _refine_search(
     """
     ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
     _, _, pass2, (i2, j2) = _search_passes(cost, coarse_angle_deg, initial_range, settings)
-    denom2 = pass2.values
-    step2_r = settings.pass2_range_fraction * initial_range
+    step2_a, step2_r = settings.pass2_angle_step_deg, settings.pass2_range_fraction * initial_range
+    da, dr = _subcell_offsets(pass2.values, i2, j2)
+    angle = float(np.clip(pass2.angles_deg[i2] + step2_a * da, ang_lo, ang_hi))
+    rng = float(np.clip(pass2.ranges[j2] + step2_r * dr, rng_lo, rng_hi))
 
-    angle = pass2.angles_deg[i2]
-    rng = pass2.ranges[j2]
-    interior_a = 0 < i2 < len(pass2.angles_deg) - 1
-    interior_r = 0 < j2 < len(pass2.ranges) - 1
-    if interior_a and interior_r:
-        da, dr = _quadratic_vertex_2d(denom2[i2 - 1 : i2 + 2, j2 - 1 : j2 + 2])
-        angle += settings.pass2_angle_step_deg * da
-        rng += step2_r * dr
-    elif interior_a:
-        angle += settings.pass2_angle_step_deg * _parabolic_vertex(
-            denom2[i2 - 1, j2], denom2[i2, j2], denom2[i2 + 1, j2]
-        )
-    elif interior_r:
-        rng += step2_r * _parabolic_vertex(
-            denom2[i2, j2 - 1], denom2[i2, j2], denom2[i2, j2 + 1]
-        )
-    angle = float(np.clip(angle, ang_lo, ang_hi))
-    rng = float(np.clip(rng, rng_lo, rng_hi))
-
-    edge_a = min(angle - ang_lo, ang_hi - angle) < 0.5 * settings.pass2_angle_step_deg
+    edge_a = min(angle - ang_lo, ang_hi - angle) < 0.5 * step2_a
     edge_r = min(rng - rng_lo, rng_hi - rng) < 0.5 * step2_r
     boundary_hit = bool(edge_a or edge_r)
     if boundary_hit:
@@ -536,29 +547,27 @@ def _refine_search(
 def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) -> SpectrumGrid:
     """The spectrum over the whole pass-1 lattice, for export."""
     angles, ranges = _pass1_lattice(coarse_angle_deg, initial_range, settings)
-    return SpectrumGrid(
-        (angles, ranges), ("angle_deg", "range_wl"), _spectrum(cost(np.deg2rad(angles), ranges))
-    )
+    values = _spectrum(_on_mesh(cost, np.deg2rad(angles), ranges))
+    return SpectrumGrid((angles, ranges), ("angle_deg", "range_wl"), values)
 
 
 def _grid_cost(column_cost, config: ArrayConfig):
-    """Cost function of (angles_rad, ranges) over their mesh, shape
-    (angles, ranges): `column_cost` maps the (M, G) exact-geometry manifold
-    to G values (the MUSIC denominator or the rank-reduction eigenvalue).
-    With `paired=True` the two arrays list single points instead, and the
-    result has one value per point."""
-    def fn(angles_rad: np.ndarray, ranges, paired: bool = False) -> np.ndarray:
-        if paired:
-            return column_cost(esg_manifold_centered(angles_rad, ranges, config))
-        mesh_t, mesh_r = np.meshgrid(angles_rad, ranges, indexing="ij")
-        manifold = esg_manifold_centered(mesh_t.ravel(), mesh_r.ravel(), config)
-        return column_cost(manifold).reshape(len(angles_rad), len(ranges))
+    """Cost function of paired (angles_rad, ranges) points, one value per
+    point: `column_cost` maps the (M, G) exact-geometry manifold to G values
+    (the MUSIC denominator or the rank-reduction eigenvalue)."""
+    return lambda angles_rad, ranges: column_cost(
+        esg_manifold_centered(angles_rad, ranges, config)
+    )
 
-    return fn
+
+def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """`cost` over the mesh of two axes, shape (angles, ranges)."""
+    mesh_t, mesh_r = np.meshgrid(angles_rad, ranges, indexing="ij")
+    return cost(mesh_t.ravel(), mesh_r.ravel()).reshape(len(angles_rad), len(ranges))
 
 
 def _plain_cost(decomp: SubspaceDecomposition, config: ArrayConfig):
-    return _grid_cost(partial(_noise_quadratic, decomp.noise_basis), config)
+    return _grid_cost(_noise_quadratic(decomp.noise_basis), config)
 
 
 def stage2_refine(
@@ -642,7 +651,7 @@ def mc_music_spectrum(
     there regardless of the unknown coupling coefficients.
     """
     cost = _mc_cost(decomp_extended, band, config_extended)
-    return float(_spectrum(cost([np.deg2rad(angle_deg)], [float(range_wl)]))[0, 0])
+    return float(_spectrum(cost(np.deg2rad([angle_deg]), np.array([float(range_wl)])))[0])
 
 
 def mc_music_refine(
@@ -669,12 +678,7 @@ def baseline_ff_music(
     Comparison baseline for a fixed half-wavelength array; peaks (when
     resolvable) come from :func:`find_spectrum_peaks`.
     """
-    if angle_grid_deg is None:
-        angle_grid_deg = EstimatorSettings().angle_grid_deg()
-    decomp = decompose(sample_covariance(block), source_count)
-    manifold = ff_manifold(np.deg2rad(angle_grid_deg), block.config)
-    values = _spectrum(_noise_quadratic(decomp.noise_basis, manifold))
-    return SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
+    return _far_field_scan(block, 0, source_count, angle_grid_deg)
 
 
 def oracle_2d_music(
@@ -703,7 +707,9 @@ def oracle_2d_music(
     denom = np.empty((len(angle_grid_deg), len(range_grid)))
     chunk = max(1, 131072 // len(range_grid))
     for start in range(0, len(angles_rad), chunk):
-        denom[start : start + chunk, :] = cost(angles_rad[start : start + chunk], range_grid)
+        denom[start : start + chunk, :] = _on_mesh(
+            cost, angles_rad[start : start + chunk], range_grid
+        )
     values = _spectrum(denom)
 
     core = values[1:-1, 1:-1]
@@ -851,6 +857,10 @@ def _two_stage(
     decomp = decompose(sample_covariance(block_extended), source_count)
     range_grid = settings.range_grid()
     config = block_extended.config
+    if spectra is not None:
+        export_cost = (
+            _plain_cost(decomp, config) if mc_band is None else _mc_cost(decomp, mc_band, config)
+        )
     results = []
     for angle in map(float, coarse):
         search = stage2_range_search(
@@ -865,12 +875,8 @@ def _two_stage(
                 decomp, angle, search.initial_range, mc_band, config, settings
             )
         if spectra is not None:
-            cost = (
-                _plain_cost(decomp, config) if mc_band is None
-                else _mc_cost(decomp, mc_band, config)
-            )
             spectra.refine_patches.append(
-                _pass1_patch(cost, angle, search.initial_range, settings)
+                _pass1_patch(export_cost, angle, search.initial_range, settings)
             )
         results.append(
             SourceEstimate(

@@ -17,6 +17,7 @@ from sfas.crb import crb, steering_jacobian
 from sfas.estimators import (
     EstimatorSettings,
     _mc_cost,
+    _on_mesh,
     _plain_cost,
     _search_passes,
     decompose,
@@ -322,7 +323,7 @@ def _refinement_cells(scen, mc_band=None):
         initial = stage2_range_search(dec, angle, SETTINGS.range_grid(), config).initial_range
         found = _search_passes(cost, angle, initial, SETTINGS)
         for lattice, cell in (found[:2], found[2:]):
-            full = cost(np.deg2rad(lattice.angles_deg), lattice.ranges)
+            full = _on_mesh(cost, np.deg2rad(lattice.angles_deg), lattice.ranges)
             assert cell == np.unravel_index(np.argmin(full), full.shape), "not the full-grid cell"
         cells.append((found[1], found[3]))
     return cells

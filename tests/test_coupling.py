@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas.coupling import (
     CouplingModel,
@@ -174,3 +175,31 @@ class TestDecouplingResidual:
             angles = rng.uniform(-np.pi / 2.2, np.pi / 2.2, size=k)
             worst = max(worst, decoupling_residual(angles, cfg, model, trim))
         assert worst < 1e-10
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_identity_property(self, data):
+        """Symmetric convention: rounding level whenever trim >= band; below
+        it, the kept row band - 1 misses its lag-`band` neighbour outside the
+        array, so the residual is at least |c_band| (>= 5e-3 on these draws)."""
+        band = data.draw(st.integers(1, 3), "band")
+        trim = data.draw(st.integers(0, band + 2), "trim")
+        m = data.draw(st.integers(2 * max(trim, band) + 3, 32), "elements")
+        cfg = ArrayConfig(m, 0.5, data.draw(st.floats(0.1, 1.0), "scale"))
+        model = CouplingModel(
+            reference_strength=data.draw(st.floats(0.1, 0.9), "strength"),
+            decay=data.draw(st.floats(0.2, 2.0), "decay"),
+            phase_offset=data.draw(st.floats(-np.pi, np.pi), "phase"),
+            band=band,
+            symmetric=True,
+        )
+        k = data.draw(st.integers(1, 4), "sources")
+        angles = data.draw(
+            st.lists(st.floats(-np.pi / 2.2, np.pi / 2.2), min_size=k, max_size=k), "angles"
+        )
+        residual = decoupling_residual(angles, cfg, model, trim)
+        if trim >= band:
+            assert residual < 1e-10
+        else:
+            edge = abs(coupling_coefficient(band, cfg, model))
+            assert residual >= (1.0 - 1e-9) * edge > 1e-3

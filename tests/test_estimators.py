@@ -23,6 +23,7 @@ from sfas.estimators import (
     stage2_refine,
     two_stage_localize,
     _mc_cost,
+    _on_mesh,
     _plain_cost,
     _search_passes,
 )
@@ -209,7 +210,10 @@ class TestStage2:
             seed=4,
         )
         dec, _ = extended_decomp(scen)
-        tiny = EstimatorSettings(window_angle_deg=0.02, window_range_fraction=0.001)
+        tiny = EstimatorSettings(
+            window_angle_deg=0.02, window_range_fraction=0.001,
+            pass1_angle_step_deg=0.01, pass1_range_fraction=0.0005, pass2_range_fraction=0.0005,
+        )
         with pytest.warns(RuntimeWarning, match="window"):
             refined = stage2_refine(dec, 10.2, 30.0, scen.config_extended, tiny)
         assert refined.boundary_hit
@@ -274,7 +278,7 @@ class TestStage2:
 def full_grid_argmin(cost, angles_deg, ranges):
     """Every cell of one pass lattice and the `np.argmin` cell: the search
     the sparse lattice search replaces."""
-    values = cost(np.deg2rad(angles_deg), ranges)
+    values = _on_mesh(cost, np.deg2rad(angles_deg), ranges)
     i, j = np.unravel_index(np.argmin(values), values.shape)
     return values, (int(i), int(j))
 

@@ -135,6 +135,11 @@ class TestScenarioFiles:
         angle_min = data.draw(st.floats(-90.0, 89.0))
         range_min = data.draw(st.floats(0.0, 1e5, exclude_min=True))
         positive = st.floats(0.0, 10.0, exclude_min=True)
+        window_angle = data.draw(positive)
+        window_range = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        # each pass step within the span it steps across
+        pass1_angle = data.draw(st.floats(0.0, window_angle, exclude_min=True))
+        pass1_range = data.draw(st.floats(0.0, window_range, exclude_min=True))
         settings = EstimatorSettings(
             trim=data.draw(st.none() | st.integers(0, 10)),
             angle_min_deg=angle_min,
@@ -143,14 +148,12 @@ class TestScenarioFiles:
             range_min=range_min,
             range_max=data.draw(st.floats(range_min, 1e7, exclude_min=True)),
             range_points=data.draw(st.integers(2, 5000)),
-            window_angle_deg=data.draw(positive),
-            window_range_fraction=data.draw(
-                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-            ),
-            pass1_angle_step_deg=data.draw(positive),
-            pass1_range_fraction=data.draw(positive),
-            pass2_angle_step_deg=data.draw(positive),
-            pass2_range_fraction=data.draw(positive),
+            window_angle_deg=window_angle,
+            window_range_fraction=window_range,
+            pass1_angle_step_deg=pass1_angle,
+            pass1_range_fraction=pass1_range,
+            pass2_angle_step_deg=data.draw(st.floats(0.0, 1.5 * pass1_angle, exclude_min=True)),
+            pass2_range_fraction=data.draw(st.floats(0.0, 1.5 * pass1_range, exclude_min=True)),
             min_peak_separation_deg=data.draw(st.floats(-10.0, 10.0)),
             flat_spectrum_ratio=data.draw(st.floats(-10.0, 10.0)),
         )
@@ -568,6 +571,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_validate_uses_estimator_trim(self, tmp_path, capsys):
+        # trim 1 does not shield the band-2 coupling of the mixed scene, so
+        # the decoupling identity fails at the trim the estimator runs with
+        path = tmp_path / "trim1.yaml"
+        base = (SCENARIO_DIR / "single_shot_mixed.yaml").read_text()
+        path.write_text(f"{base}\nestimator: {{trim: 1}}\n")
+        assert cli_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  central-subarray decoupling identity" in out
+
     def test_single_shot_verb(self, tmp_path, capsys):
         path = tmp_path / "scen.yaml"
         path.write_text(
@@ -649,6 +662,12 @@ class TestCli:
                 ["angle_step_deg", "range_points", "window_angle_deg"],
             "trim: -1": ["trim >= 0"],
             "trim: 20": ["trim 20 leaves -8"],
+            "pass1_angle_step_deg: 5": ["pass1_angle_step_deg <= window_angle_deg"],
+            "pass1_range_fraction: 0.5": ["pass1_range_fraction <= window_range_fraction"],
+            "pass2_angle_step_deg: 0.08":
+                ["pass2_angle_step_deg <= 1.5 * pass1_angle_step_deg"],
+            "pass2_range_fraction: 0.02":
+                ["pass2_range_fraction <= 1.5 * pass1_range_fraction"],
         }
         for override, keys in cases.items():
             path.write_text(f"{base}\nestimator: {{{override}}}\n")
