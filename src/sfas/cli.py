@@ -56,7 +56,7 @@ def _cmd_single_shot(args) -> int:
 def _cmd_campaign(args) -> int:
     campaign = _load(args)
     if args.trials is not None:
-        campaign = replace(campaign, trials=int(args.trials))
+        campaign = replace(campaign, trials=args.trials)
     out = args.out or campaign.out_dir
     records = run_campaign(campaign, out_dir=out, threads=args.threads)
     for rec in records:
@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("file", type=Path)
     camp.add_argument("--out", type=Path, default=None)
     camp.add_argument("--seed", type=seed_type, default=None)
-    camp.add_argument("--trials", type=int, default=None, help="override trial count")
+    camp.add_argument(
+        "--trials", type=_whole_number("trials", 1), default=None, help="override trial count"
+    )
     camp.add_argument(
         "--threads", type=_whole_number("threads", 1), default=1, help="worker threads"
     )

@@ -805,6 +805,19 @@ class LocalizationEstimate:
         return np.array([s.refined_range for s in self.sources])
 
 
+@dataclass
+class _Spectra:
+    """Spectra a trial computes on its way: the stage-1 scan, the range
+    scans and the pass-1 refinement patches of the two-stage pipeline, and
+    the conventional baseline scan.  Filled in as they appear, so a run
+    that fails part-way keeps the ones it reached."""
+
+    stage1: SpectrumGrid | None = None
+    range_scans: list[SpectrumGrid] = field(default_factory=list)
+    refine_patches: list[SpectrumGrid] = field(default_factory=list)
+    conventional: SpectrumGrid | None = None
+
+
 def two_stage_localize(
     block_compressed: SnapshotBlock,
     block_extended: SnapshotBlock,
@@ -812,39 +825,15 @@ def two_stage_localize(
     trim: int,
     settings: EstimatorSettings = EstimatorSettings(),
     mc_band: int | None = None,
+    spectra: _Spectra | None = None,
 ) -> LocalizationEstimate:
     """Run the complete pipeline on one pair of snapshot blocks.
 
     With `mc_band` set, the 2-D refinement uses the coupling-robust
-    rank-reduction spectrum instead of the plain exact-geometry one.
+    rank-reduction spectrum instead of the plain exact-geometry one.  With
+    a `spectra` collector given, the spectra along the way are recorded
+    in it too, each whole pass-1 patch evaluated for it.
     """
-    return _two_stage(
-        block_compressed, block_extended, source_count, trim, settings, mc_band, None
-    )
-
-
-@dataclass
-class _Spectra:
-    """Spectra a two-stage run computes on its way: the stage-1 scan, the
-    range scans and the pass-1 refinement patches.  Filled in as they
-    appear, so a run that fails part-way keeps the ones it reached."""
-
-    stage1: SpectrumGrid | None = None
-    range_scans: list[SpectrumGrid] = field(default_factory=list)
-    refine_patches: list[SpectrumGrid] = field(default_factory=list)
-
-
-def _two_stage(
-    block_compressed: SnapshotBlock,
-    block_extended: SnapshotBlock,
-    source_count: int,
-    trim: int,
-    settings: EstimatorSettings,
-    mc_band: int | None,
-    spectra: _Spectra | None,
-) -> LocalizationEstimate:
-    """The two-stage pipeline; with `spectra` given it also records the
-    spectra along the way, evaluating each whole pass-1 patch for it."""
     stage1, coarse = stage1_music(
         block_compressed,
         trim,

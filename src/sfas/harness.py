@@ -3,9 +3,11 @@
 Scenario and campaign descriptions live in YAML files (key/value with
 nested sections); every output CSV embeds the fully resolved configuration
 and package version in `#`-prefixed header lines so any result can be
-reproduced from the artifact alone.  Campaign trials are deterministic
-functions of (seed, trial index), so the worker count changes wall time
-only, never a byte of output.
+reproduced from the artifact alone.  A single shot and every campaign
+trial take one path, `_run_trial`: synthesize the trial's blocks, then run
+estimators of the `_ESTIMATORS` registry on them, each giving a
+`_TrialRecord`.  Trials are deterministic functions of (seed, trial
+index), so the worker count changes wall time only, never a byte of output.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .estimators import (
     SpectrumGrid,
     UnderResolutionError,
     _Spectra,
-    _two_stage,
     baseline_ff_music,
     find_spectrum_peaks,
     oracle_2d_music,
@@ -480,66 +481,46 @@ def run_single_shot(
     settings: EstimatorSettings = EstimatorSettings(),
     out_dir=None,
 ) -> SingleShotBundle:
-    """One full pipeline pass (trial 0), optionally exporting every artifact.
+    """Campaign trial 0 of the conventional baseline and the two-stage
+    pipeline, optionally exporting every artifact.
 
     Emits the proposed and conventional stage-1 spectra, the per-source
     range scans and local 2-D refinement patches, and the final estimate
     record.  Estimator failures are captured in the bundle, not raised.
-    When the scenario declares extended-stage coupling the refinement
-    uses the coupling-robust spectrum.  OpenBLAS runs at one thread
-    meanwhile (see `_blas`), so the artifacts do not depend on the host's
-    core count.
+    When the scenario declares extended-stage coupling the pipeline runs
+    as `two_stage_mc`, with the coupling-robust refinement.  OpenBLAS runs
+    at one thread meanwhile (see `_blas`), so the artifacts do not depend
+    on the host's core count.
     """
-    k = scenario.source_count
-    trim = settings.resolve_trim(scenario.coupling.band)
-    coupled = scenario.coupling_extended is not None
-    mc_band = _mc_band(scenario) if coupled else None
-    errors: list[str] = []
-
-    block_c = generate_snapshots_compressed(scenario)
-    block_e = generate_snapshots_extended(scenario, include_coupling=coupled)
-    block_b = generate_snapshots_baseline(scenario)
-
-    stage1_conventional = None
-    conventional_peaks = np.array([])
-    try:
-        stage1_conventional = baseline_ff_music(block_b, k, settings.angle_grid_deg())
-        conventional_peaks = find_spectrum_peaks(
-            stage1_conventional.axes[0],
-            stage1_conventional.values,
-            k,
-            settings.min_peak_separation_deg,
-        )
-    except UnderResolutionError as exc:
-        conventional_peaks = exc.peaks_found
-        errors.append(f"conventional baseline: {exc}")
-    except DegenerateSubspaceError as exc:
-        errors.append(f"conventional baseline: {exc}")
-
+    two_stage = "two_stage" if scenario.coupling_extended is None else "two_stage_mc"
+    labels = {"baseline_ff_music": "conventional baseline", two_stage: "two-stage pipeline"}
     spectra = _Spectra()
-    estimate = None
-    try:
-        estimate = _two_stage(block_c, block_e, k, trim, settings, mc_band, spectra)
-    except (UnderResolutionError, DegenerateSubspaceError) as exc:
-        errors.append(f"two-stage pipeline: {exc}")
+    records = _run_trial(scenario, settings, tuple(labels), 0, spectra)
+    base = records["baseline_ff_music"]
+    # An under-resolved baseline keeps the peaks it found; a degenerate one has none.
+    peaks = base.angles if base.error is None else getattr(base.error, "peaks_found", [])
 
     bundle = SingleShotBundle(
         scenario=scenario,
         settings=settings,
         stage1_proposed=spectra.stage1,
-        stage1_conventional=stage1_conventional,
-        conventional_peaks=conventional_peaks,
+        stage1_conventional=spectra.conventional,
+        conventional_peaks=np.asarray(peaks, dtype=float),
         range_spectra=tuple(spectra.range_scans),
         refine_spectra=tuple(spectra.refine_patches),
-        estimate=estimate,
-        errors=tuple(errors),
+        estimate=records[two_stage].estimate,
+        errors=tuple(
+            f"{labels[name]}: {record.error}"
+            for name, record in records.items()
+            if record.error is not None
+        ),
     )
     if out_dir is not None:
         _export_single_shot(bundle, Path(out_dir))
     return bundle
 
 
-def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
+def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = scenario_to_dict(bundle.scenario, bundle.settings)
     written: list[str] = []
@@ -569,61 +550,77 @@ def _export_single_shot(bundle: SingleShotBundle, out_dir: Path) -> list[str]:
     )
     written.append("estimate.json")
     _write_manifest(out_dir, meta, sorted(written))
-    return written
 
 
 # ---------------------------------------------------------------------------
 # Campaigns
 
 
-def _mc_band(scenario: Scenario) -> int:
-    model = scenario.coupling_extended or scenario.coupling
-    return max(1, model.band)
+@dataclass(frozen=True)
+class _TrialRecord:
+    """One estimator's output on one trial: the final angles, plus what
+    else it reports (ranges, flat-range flags, stage-1 angles, the
+    two-stage estimate); or only the error that stopped it."""
+
+    angles: np.ndarray | None = None
+    ranges: np.ndarray | None = None
+    range_flat: tuple[bool, ...] | None = None
+    acc_angles: np.ndarray | None = None
+    estimate: LocalizationEstimate | None = None
+    error: UnderResolutionError | DegenerateSubspaceError | None = None
 
 
-def _score(scenario, angles, ranges=None, range_flat=None, acc_angles=None):
-    """Pair an estimate with the truth.  Per truth source, the error cells
-    of a trial_errors.csv row: (ACC angle, AAR angle, range, range
-    excluded), each None where the estimator does not report it."""
+def _score(scenario: Scenario, record: _TrialRecord) -> list[tuple] | None:
+    """Pair a trial record with the truth.  Per truth source, the error
+    cells of a trial_errors.csv row: (ACC angle, AAR angle, range, range
+    excluded), each None where the estimator does not report it; None for
+    a failed trial."""
+    if record.error is not None:
+        return None
+    ranges = record.ranges
     true_angles = [s.angle_deg for s in scenario.sources]
     true_ranges = None if ranges is None else [s.range for s in scenario.sources]
-    pairing = pair_estimates(angles, true_angles, ranges, true_ranges)
+    pairing = pair_estimates(record.angles, true_angles, ranges, true_ranges)
     acc = [None] * len(true_angles)
-    if acc_angles is not None:
-        acc = pair_estimates(acc_angles, true_angles).angle_errors
+    if record.acc_angles is not None:
+        acc = pair_estimates(record.acc_angles, true_angles).angle_errors
     cells = []
     for src, aar in enumerate(pairing.angle_errors):
-        flat = None if ranges is None else bool(range_flat[pairing.assignment[src]])
+        flat = None if ranges is None else bool(record.range_flat[pairing.assignment[src]])
         rng = None if ranges is None or flat else pairing.range_errors[src]
         cells.append((acc[src], aar, rng, flat))
     return cells
 
 
-def _two_stage_trial(scenario, settings, block_c, block_e, trial, mc=False):
+def _two_stage_trial(scenario, settings, block_c, block_e, trial, spectra, mc=False):
     trim = settings.resolve_trim(scenario.coupling.band)
-    band = _mc_band(scenario) if mc else None
-    est = two_stage_localize(block_c, block_e, scenario.source_count, trim, settings, band)
-    flat = [s.range_flat for s in est.sources]
-    return _score(
-        scenario, est.refined_angles_deg, est.refined_ranges, flat, est.coarse_angles_deg
+    band = max(1, (scenario.coupling_extended or scenario.coupling).band) if mc else None
+    est = two_stage_localize(
+        block_c, block_e, scenario.source_count, trim, settings, band, spectra
+    )
+    flat = tuple(s.range_flat for s in est.sources)
+    return _TrialRecord(
+        est.refined_angles_deg, est.refined_ranges, flat, est.coarse_angles_deg, est
     )
 
 
-def _baseline_trial(scenario, settings, block_c, block_e, trial):
+def _baseline_trial(scenario, settings, block_c, block_e, trial, spectra):
     k = scenario.source_count
     block_b = generate_snapshots_baseline(scenario, trial)
     grid = baseline_ff_music(block_b, k, settings.angle_grid_deg())
+    if spectra is not None:
+        spectra.conventional = grid
     peaks = find_spectrum_peaks(grid.axes[0], grid.values, k, settings.min_peak_separation_deg)
-    return _score(scenario, peaks)
+    return _TrialRecord(peaks)
 
 
-def _oracle_trial(scenario, settings, block_c, block_e, trial):
+def _oracle_trial(scenario, settings, block_c, block_e, trial, spectra):
     k = scenario.source_count
     pairs, _ = oracle_2d_music(
         block_e, k, settings.angle_grid_deg(), settings.range_grid(),
         settings.min_peak_separation_deg,
     )
-    return _score(scenario, [a for a, _ in pairs], [r for _, r in pairs], [False] * k)
+    return _TrialRecord([a for a, _ in pairs], [r for _, r in pairs], (False,) * k)
 
 
 # name -> (trial function, reports ACC angles, reports ranges)
@@ -641,19 +638,21 @@ def _run_trial(
     settings: EstimatorSettings,
     estimators: tuple[str, ...],
     trial: int,
-) -> dict[str, list | None]:
-    """Each estimator's per-source error cells (see `_score`); None when
-    the estimator failed on this trial."""
+    spectra: _Spectra | None = None,
+) -> dict[str, _TrialRecord]:
+    """Each named estimator's record of one trial, all on the same
+    synthesized blocks.  A failed estimator's record holds its error; with
+    `spectra` given, the spectra the estimators compute are kept there."""
     include_coupling = scenario.coupling_extended is not None
     block_c = generate_snapshots_compressed(scenario, trial)
     block_e = generate_snapshots_extended(scenario, include_coupling, trial)
 
-    out: dict[str, list | None] = {}
+    out: dict[str, _TrialRecord] = {}
     for name in estimators:
         try:
-            out[name] = _ESTIMATORS[name][0](scenario, settings, block_c, block_e, trial)
-        except (UnderResolutionError, DegenerateSubspaceError):
-            out[name] = None
+            out[name] = _ESTIMATORS[name][0](scenario, settings, block_c, block_e, trial, spectra)
+        except (UnderResolutionError, DegenerateSubspaceError) as exc:
+            out[name] = _TrialRecord(error=exc)
     return out
 
 
@@ -788,8 +787,10 @@ def run_campaign(
     cells = [campaign.scenario_at(value) for value in campaign.values]
     jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
 
-    def trial_fn(job: tuple[Scenario, int]) -> dict[str, list | None]:
-        return _run_trial(job[0], campaign.settings, campaign.estimators, job[1])
+    def trial_fn(job: tuple[Scenario, int]) -> dict[str, list[tuple] | None]:
+        scenario, trial = job
+        records = _run_trial(scenario, campaign.settings, campaign.estimators, trial)
+        return {name: _score(scenario, record) for name, record in records.items()}
 
     workers = min(threads, len(jobs))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -305,8 +305,88 @@ class TestSingleShot:
             seed=11,
         )
         bundle = run_single_shot(scen, out_dir=tmp_path / "out")
-        assert bundle.errors  # degeneracy captured, no exception
         assert bundle.estimate is None
+        assert len(bundle.errors) == 2
+        for error, label in zip(bundle.errors, ("conventional baseline: ", "two-stage pipeline: ")):
+            assert error.startswith(label) and error.endswith("subspace split is ambiguous")
+        assert bundle.conventional_peaks.size == 0
+
+    def test_baseline_under_resolution_keeps_found_peaks(self, tmp_path, monkeypatch):
+        def one_peak(axis, values, count, min_separation=1.0):
+            raise estimators.UnderResolutionError(count, np.array([7.0]))
+
+        monkeypatch.setattr(harness, "find_spectrum_peaks", one_peak)
+        bundle = run_single_shot(small_scenario(), out_dir=tmp_path)
+        assert list(bundle.conventional_peaks) == [7.0]
+        assert bundle.errors == ("conventional baseline: found 1 separated peaks, need 2",)
+        assert bundle.estimate is not None
+        assert (tmp_path / "stage1_conventional.csv").exists()
+        record = json.loads((tmp_path / "estimate.json").read_text())
+        assert record["conventional_peaks_deg"] == [7.0]
+
+    # Low SNR and few snapshots put many refinements on their window edge.
+    @pytest.mark.filterwarnings("ignore:refined estimate.*search-window edge:RuntimeWarning")
+    @hyp_settings(max_examples=10, deadline=None)
+    @given(
+        m=st.integers(6, 10),
+        angles=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=2, unique=True),
+        ranges=st.lists(st.sampled_from([20.0, 300.0, 4000.0]), min_size=2, max_size=2),
+        coupled=st.booleans(),
+        snr_db=st.sampled_from([-10.0, 0.0, 10.0]),
+        snapshots=st.integers(4, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_single_shot_is_campaign_trial_zero(
+        self, m, angles, ranges, coupled, snr_db, snapshots, seed
+    ):
+        scen = Scenario(
+            sources=tuple(SourceTruth.from_degrees(a, r) for a, r in zip(angles, ranges)),
+            config_compressed=ArrayConfig(m, 0.5, 0.2),
+            config_extended=ArrayConfig(m, 0.5, 2.0),
+            coupling=CouplingModel(band=1),
+            coupling_extended=CouplingModel(band=1, symmetric=True) if coupled else None,
+            snapshots=snapshots,
+            snr_db=snr_db,
+            seed=seed,
+        )
+        two_stage = "two_stage_mc" if coupled else "two_stage"
+        bundle = run_single_shot(scen)
+        camp = Campaign(scenario=scen, trials=1, estimators=(two_stage, "baseline_ff_music"))
+        with tempfile.TemporaryDirectory() as tmp:
+            run_campaign(camp, out_dir=tmp)
+            rows = read_csv(Path(tmp) / "trial_errors.csv")
+
+        def cells(name):
+            return [
+                tuple(r[c] for c in ("acc_angle_error_deg", "aar_angle_error_deg",
+                                     "range_error_wl", "range_excluded", "failed"))
+                for r in rows if r["estimator"] == name
+            ]
+
+        truth = [s.angle_deg for s in scen.sources]
+        true_ranges = [s.range for s in scen.sources]
+        failed = ("", "", "", "", "true")
+        est = bundle.estimate
+        if est is None:
+            assert cells(two_stage) == [failed]
+        else:
+            pairing = estimators.pair_estimates(
+                est.refined_angles_deg, truth, est.refined_ranges, true_ranges
+            )
+            acc = estimators.pair_estimates(est.coarse_angles_deg, truth).angle_errors
+            expected = []
+            for src, aar in enumerate(pairing.angle_errors):
+                flat = est.sources[pairing.assignment[src]].range_flat
+                rng = None if flat else pairing.range_errors[src]
+                expected.append((*map(harness._fmt, (acc[src], aar, rng, flat)), "false"))
+            assert cells(two_stage) == expected
+        if any(e.startswith("conventional baseline: ") for e in bundle.errors):
+            assert cells("baseline_ff_music") == [failed]
+        else:
+            aar = estimators.pair_estimates(bundle.conventional_peaks, truth).angle_errors
+            assert cells("baseline_ff_music") == [
+                ("", harness._fmt(err), "", "", "false") for err in aar
+            ]
 
 
 class TestCampaign:
@@ -607,12 +687,13 @@ class TestCli:
         trials_rows = [r for r in rows if r["metric"] == "trials_total"]
         assert trials_rows and all(r["value"] == "2" for r in trials_rows)
 
-        # A thread count below 1 is a usage error (exit 2), not a traceback.
-        for bad in ("0", "-1", "two"):
+        # A thread or trial count below 1 is a usage error (exit 2), not a traceback.
+        for option, bad in [*(("threads", b) for b in ("0", "-1", "two")),
+                            *(("trials", b) for b in ("0", "-1", "2.5", "abc"))]:
             with pytest.raises(SystemExit) as exit_info:
-                cli_main(["campaign", str(path), "--threads", bad])
+                cli_main(["campaign", str(path), f"--{option}", bad])
             assert exit_info.value.code == 2
-            assert f"threads must be a whole number >= 1, got '{bad}'" in capsys.readouterr().err
+            assert f"{option} must be a whole number >= 1, got '{bad}'" in capsys.readouterr().err
 
         # So is a negative seed, on every verb that takes one; nothing is written.
         for verb in ("single-shot", "campaign", "crb"):
