@@ -58,6 +58,8 @@ def _cmd_campaign(args) -> int:
     if args.trials is not None:
         campaign = replace(campaign, trials=args.trials)
     out = args.out or campaign.out_dir
+    if out is not None and args.out is None and _not_a_directory(Path(out), "out_dir"):
+        return 2
     records = run_campaign(campaign, out_dir=out, threads=args.threads)
     for rec in records:
         acc = (
@@ -95,6 +97,16 @@ def _cmd_validate(args) -> int:
         failed += 0 if ok else 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
+
+
+def _not_a_directory(path: Path, name: str) -> bool:
+    """Whether output directory `path` cannot be made because it, or its
+    nearest existing parent, is not a directory; if so, says so on stderr."""
+    existing = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if existing.is_dir():
+        return False
+    print(f"error: {name} {path} is not a directory", file=sys.stderr)
+    return True
 
 
 def _whole_number(name: str, minimum: int):
@@ -155,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None) is not None and _not_a_directory(args.out, "--out"):
+        return 2
     try:
         return args.fn(args)
     except ScenarioFileError as exc:

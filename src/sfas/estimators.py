@@ -15,8 +15,12 @@ shared by every configuration of the same physical array.
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -291,9 +295,19 @@ def _far_field_scan(block: SnapshotBlock, trim: int, source_count: int, angle_gr
     cov = sample_covariance(block)
     central = cov.matrix[trim : m - trim, trim : m - trim]
     decomp = decompose(CovarianceEstimate(central, cov.snapshot_count), source_count)
-    manifold = ff_manifold(np.deg2rad(angle_grid_deg), block.config)[trim : m - trim, :]
-    values = _spectrum(_noise_quadratic(decomp.noise_basis)(manifold))
+    grid = np.asarray(angle_grid_deg)
+    manifold = _far_field_manifold(block.config, grid.dtype.str, grid.tobytes())
+    values = _spectrum(_noise_quadratic(decomp.noise_basis)(manifold[trim : m - trim, :]))
     return SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
+
+
+@functools.lru_cache(maxsize=4)
+def _far_field_manifold(config: ArrayConfig, dtype: str, grid_bytes: bytes) -> np.ndarray:
+    """The far-field manifold over an angle grid given by its bytes, built
+    once per (config, grid) and shared read-only by every scan."""
+    manifold = ff_manifold(np.deg2rad(np.frombuffer(grid_bytes, dtype)), config)
+    manifold.flags.writeable = False
+    return manifold
 
 
 @dataclass(frozen=True)
@@ -318,8 +332,10 @@ def stage2_range_search(
     is flagged: its range is reported but carries little information.
     """
     ranges = np.asarray(range_grid, float)
-    angles = np.full(len(ranges), np.deg2rad(coarse_angle_deg))
-    values = _spectrum(_plain_cost(decomp_extended, config_extended)(angles, ranges))
+    cells = np.arange(len(ranges))
+    values = _spectrum(_plain_cost(decomp_extended, config_extended).cells(
+        np.array([float(coarse_angle_deg)]), ranges, np.zeros_like(cells), cells
+    ))
     best = int(np.argmax(values))
     flat = bool(values[best] < flat_spectrum_ratio * np.median(values))
     grid = SpectrumGrid((ranges,), ("range_wl",), values)
@@ -347,11 +363,12 @@ def _window_grid(center: float, halfwidth: float, step: float, lo: float, hi: fl
 
 
 def _refine_window(coarse_angle_deg: float, initial_range: float, settings: EstimatorSettings):
-    """(angle lo, angle hi, range lo, range hi) around the stage-2 seed."""
+    """(angle lo, angle hi, range lo, range hi) around the stage-2 seed;
+    the angle bounds stop at endfire, +-90 deg."""
     half_r = settings.window_range_fraction * initial_range
     return (
-        coarse_angle_deg - settings.window_angle_deg,
-        coarse_angle_deg + settings.window_angle_deg,
+        max(coarse_angle_deg - settings.window_angle_deg, -90.0),
+        min(coarse_angle_deg + settings.window_angle_deg, 90.0),
         initial_range - half_r,
         initial_range + half_r,
     )
@@ -398,7 +415,7 @@ class _Lattice:
         new = np.isnan(self.values[ii, jj])
         if new.any():
             i, j = ii[new], jj[new]
-            self.values[i, j] = self._cost(np.deg2rad(self.angles_deg[i]), self.ranges[j])
+            self.values[i, j] = self._cost.cells(self.angles_deg, self.ranges, i, j)
         k, m = divmod(int(np.argmin(self.values[ii, jj])), len(cols))
         return int(rows[k]), int(cols[m])
 
@@ -551,13 +568,97 @@ def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) 
     return SpectrumGrid((angles, ranges), ("angle_deg", "range_wl"), values)
 
 
-def _grid_cost(column_cost, config: ArrayConfig):
+@dataclass(frozen=True)
+class _GridCost:
     """Cost function of paired (angles_rad, ranges) points, one value per
     point: `column_cost` maps the (M, G) exact-geometry manifold to G values
-    (the MUSIC denominator or the rank-reduction eigenvalue)."""
-    return lambda angles_rad, ranges: column_cost(
-        esg_manifold_centered(angles_rad, ranges, config)
-    )
+    (the MUSIC denominator or the rank-reduction eigenvalue).  `cells`
+    evaluates lattice cells from the steering-column cache."""
+
+    column_cost: Callable[[np.ndarray], np.ndarray]
+    config: ArrayConfig
+
+    def __call__(self, angles_rad, ranges) -> np.ndarray:
+        return self.column_cost(esg_manifold_centered(angles_rad, ranges, self.config))
+
+    def cells(self, angles_deg, ranges, rows, cols) -> np.ndarray:
+        """The cost at cells (angles_deg[rows], ranges[cols]) of a lattice."""
+        return self.column_cost(_COLUMNS.manifold(self.config, angles_deg, ranges, rows, cols))
+
+
+# Columns the exact-geometry cache holds: 2 MiB at M = 32.  A 4-source
+# campaign revisits about this many; at 3,072 its lattices start to evict
+# each other before they are reused.
+_CACHE_COLUMNS = 4096
+
+
+class _ColumnCache:
+    """Exact-geometry steering columns of the lattices the searches revisit.
+
+    A lattice, keyed by (config, angle bytes in degrees, range bytes),
+    maps each cell to a slot of one preallocated (M, capacity) slab, or
+    to -1 before the cell's column is computed.  Whole lattices are
+    evicted, least recently used first; columns that do not fit even then
+    are served without being stored.  A column does not depend on the
+    batch it is computed in, so a served manifold holds the bytes
+    `esg_manifold_centered` gives for the same cells; each call returns a
+    fresh C-contiguous array.  Slot lookup, reuse and the gather share
+    one lock, so an eviction cannot hand a slot to another lattice while
+    it is read; the complex `exp` of missing columns runs outside it.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._slab = np.empty((0, capacity), dtype=complex)
+        self._lattices: OrderedDict = OrderedDict()
+        self._free = list(range(capacity))
+
+    def manifold(self, config: ArrayConfig, angles_deg, ranges, rows, cols) -> np.ndarray:
+        """The (M, len(rows)) manifold of cells (angles_deg[rows], ranges[cols])."""
+        key = (config, angles_deg.tobytes(), ranges.tobytes())
+        out = np.empty((config.element_count, len(rows)), dtype=complex)
+        with self._lock:
+            lattice = self._lattices.get(key)
+            miss = np.ones(len(rows), dtype=bool)
+            if lattice is not None:
+                self._lattices.move_to_end(key)
+                slots = lattice[rows, cols]
+                miss = slots < 0
+                if not miss.any():
+                    return np.take(self._slab, slots, axis=1)
+                out[:, ~miss] = self._slab[:, slots[~miss]]
+        rows, cols = rows[miss], cols[miss]
+        out[:, miss] = esg_manifold_centered(np.deg2rad(angles_deg[rows]), ranges[cols], config)
+        with self._lock:
+            self._store(key, (len(angles_deg), len(ranges)), rows, cols, out[:, miss])
+        return out
+
+    def _store(self, key, shape, rows, cols, columns) -> None:
+        """Store distinct cells' columns of lattice `key`, evicting least
+        recently used lattices, unless they cannot fit beside its own."""
+        if self._slab.shape[0] != columns.shape[0]:
+            self._lattices.clear()
+            self._free = list(range(self.capacity))
+            self._slab = np.empty((columns.shape[0], self.capacity), dtype=complex)
+        slots = self._lattices.pop(key, None)
+        if slots is None:
+            slots = np.full(shape, -1, dtype=np.min_scalar_type(-self.capacity))
+        new = slots[rows, cols] < 0  # another thread may have stored some
+        rows, cols, n = rows[new], cols[new], int(new.sum())
+        if 0 < n <= self.capacity - int((slots >= 0).sum()):
+            while len(self._free) < n:
+                _, old = self._lattices.popitem(last=False)
+                self._free += old[old >= 0].tolist()
+            taken = self._free[len(self._free) - n:]
+            del self._free[len(self._free) - n:]
+            slots[rows, cols] = taken
+            self._slab[:, taken] = columns[:, new]
+        if (slots >= 0).any():
+            self._lattices[key] = slots
+
+
+_COLUMNS = _ColumnCache(_CACHE_COLUMNS)
 
 
 def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -567,7 +668,7 @@ def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
 
 
 def _plain_cost(decomp: SubspaceDecomposition, config: ArrayConfig):
-    return _grid_cost(_noise_quadratic(decomp.noise_basis), config)
+    return _GridCost(_noise_quadratic(decomp.noise_basis), config)
 
 
 def stage2_refine(
@@ -634,7 +735,7 @@ def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
     if not 1 <= band <= m - 1:
         raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
     stack = _mc_noise_stack(decomp.noise_basis, band)
-    return _grid_cost(lambda manifold: _mc_min_eigenvalues(stack, manifold, band), config)
+    return _GridCost(lambda manifold: _mc_min_eigenvalues(stack, manifold, band), config)
 
 
 def mc_music_spectrum(

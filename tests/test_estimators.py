@@ -1,11 +1,16 @@
 import itertools
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from sfas import estimators
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
+    _CACHE_COLUMNS,
     _SUBLATTICE_STRIDE,
     DegenerateSubspaceError,
     EstimatorSettings,
@@ -22,6 +27,8 @@ from sfas.estimators import (
     stage2_range_search,
     stage2_refine,
     two_stage_localize,
+    _ColumnCache,
+    _GridCost,
     _mc_cost,
     _on_mesh,
     _plain_cost,
@@ -201,6 +208,33 @@ class TestStage2:
             refined = stage2_refine(dec, coarse, init, mixed_scenario.config_extended, SETTINGS)
             assert abs(refined.angle_deg - coarse) <= SETTINGS.window_angle_deg + 1e-12
             assert abs(refined.range_wl - init) <= SETTINGS.window_range_fraction * init + 1e-9
+
+    @pytest.mark.filterwarnings("ignore:refined estimate.*search-window edge:RuntimeWarning")
+    @hyp_settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_refined_angle_stops_at_endfire(self, data):
+        # a source within one window of endfire: no refined angle beyond
+        # +-90 deg, plain or coupling-robust, and the window still holds
+        truth = data.draw(st.sampled_from((-1.0, 1.0))) * data.draw(st.floats(87.5, 89.9))
+        distance = data.draw(st.floats(20.0, 200.0))
+        scen = Scenario(
+            sources=(SourceTruth.from_degrees(truth, distance),),
+            snapshots=200,
+            snr_db=data.draw(st.sampled_from((0.0, 10.0, 30.0))),
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+        )
+        dec, _ = extended_decomp(scen)
+        coarse = float(np.clip(truth + data.draw(st.floats(-0.3, 0.3)), -90.0, 90.0))
+        initial = distance * data.draw(st.floats(0.8, 1.25))
+        band = data.draw(st.sampled_from((None, 2)))
+        config = scen.config_extended
+        refined = (
+            stage2_refine(dec, coarse, initial, config, SETTINGS) if band is None
+            else mc_music_refine(dec, coarse, initial, band, config, SETTINGS)
+        )
+        assert -90.0 <= refined.angle_deg <= 90.0
+        assert abs(refined.angle_deg - coarse) <= SETTINGS.window_angle_deg + 1e-12
+        assert abs(refined.range_wl - initial) <= SETTINGS.window_range_fraction * initial + 1e-9
 
     def test_boundary_hit_warns(self):
         scen = Scenario(
@@ -640,3 +674,114 @@ class TestSpectrumSanity:
             SpectrumGrid((np.array([1.0, 0.5]),), ("x",), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="finite"):
             SpectrumGrid((np.array([0.0, 1.0]),), ("x",), np.array([1.0, np.inf]))
+
+
+def assert_slots_accounted(cache, budget):
+    """Every slot taken from the free list is held by one stored lattice."""
+    held = sum(int((slots >= 0).sum()) for slots in cache._lattices.values())
+    assert cache.capacity - len(cache._free) == held <= budget
+
+
+class TestColumnCache:
+    """Steering columns served from the cache are the bytes computed afresh."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_served_manifold_is_computed_manifold(self, data):
+        # a tiny budget forces evictions and bypasses, and two element
+        # counts make the slab change shape between requests
+        budget = data.draw(st.integers(1, 40), "budget")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        lattices = []
+        for _ in range(data.draw(st.integers(1, 3), "lattices")):
+            m = data.draw(st.sampled_from((4, 7)), "elements")
+            config = ArrayConfig(m, 0.5, data.draw(st.sampled_from((0.2, 1.0, 2.0)), "scale"))
+            n_a, n_r = data.draw(st.integers(1, 7), "angles"), data.draw(st.integers(1, 7), "ranges")
+            lattices.append((
+                config,
+                np.sort(rng.uniform(-89.9, 89.9, n_a)),
+                np.sort(rng.uniform(1.0, 1e4, n_r)),
+            ))
+        cache = _ColumnCache(budget)
+        with mock.patch.object(estimators, "_COLUMNS", cache):
+            for _ in range(data.draw(st.integers(1, 12), "requests")):
+                config, angles, ranges = lattices[data.draw(st.integers(0, len(lattices) - 1))]
+                cells = data.draw(st.lists(
+                    st.integers(0, len(angles) * len(ranges) - 1), min_size=1, unique=True
+                ), "cells")
+                rows, cols = np.divmod(np.array(cells), len(ranges))
+                served = _GridCost(lambda manifold: manifold, config).cells(
+                    angles, ranges, rows, cols
+                )
+                fresh = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
+                assert served.flags["C_CONTIGUOUS"] and served.shape == fresh.shape
+                assert served.tobytes() == fresh.tobytes()
+                assert_slots_accounted(cache, budget)
+
+    @pytest.mark.parametrize("mc_band", [None, 2])
+    def test_two_stage_same_uncached_cold_and_warm(
+        self, coupled_extended_scenario, mc_band, monkeypatch
+    ):
+        scen = coupled_extended_scenario
+        block_c = generate_snapshots_compressed(scen)
+        block_e = generate_snapshots_extended(scen, include_coupling=True)
+
+        def localize():
+            return two_stage_localize(block_c, block_e, 2, 2, SETTINGS, mc_band)
+
+        with mock.patch.object(
+            _GridCost, "cells", lambda cost, a, r, rows, cols: cost(np.deg2rad(a[rows]), r[cols])
+        ):
+            uncached = localize()
+        monkeypatch.setattr(estimators, "_COLUMNS", _ColumnCache(_CACHE_COLUMNS))
+        estimators._far_field_manifold.cache_clear()
+        cold = localize()
+        assert estimators._COLUMNS._lattices
+        assert cold == uncached
+        assert localize() == uncached
+
+    def test_threads_filling_one_lattice_agree(self):
+        # 4 threads fill one lattice at once, then keep filling and
+        # gathering while three 36-cell lattices evict each other from an
+        # 80-column slab
+        budget = 80
+        cache = _ColumnCache(budget)
+        config = ArrayConfig(16, 0.5, 2.0)
+        ranges = np.geomspace(20.0, 2000.0, 6)
+        angles = [np.linspace(lo, lo + 10.0, 6) for lo in (-30.0, 0.0, 30.0)]
+        rows, cols = np.divmod(np.arange(36)[::-1], 6)
+        fresh = [
+            esg_manifold_centered(np.deg2rad(a[rows]), ranges[cols], config).tobytes()
+            for a in angles
+        ]
+        barrier = threading.Barrier(4)
+        served = [[] for _ in range(4)]
+
+        def work(k):
+            barrier.wait(timeout=10)
+            for n in range(1000):
+                lattice = (n + k) % 3 if n >= 20 else 0
+                blob = cache.manifold(config, angles[lattice], ranges, rows, cols).tobytes()
+                served[k].append(blob == fresh[lattice])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(s) == 1000 and all(s) for s in served)
+        assert_slots_accounted(cache, budget)
+
+    def test_far_field_manifold_is_read_only(self):
+        config = ArrayConfig(8)
+        grid = SETTINGS.angle_grid_deg()
+        cached = estimators._far_field_manifold(config, grid.dtype.str, grid.tobytes())
+        assert cached.tobytes() == ff_manifold(np.deg2rad(grid), config).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from sfas import estimators, harness
+from sfas import cli, estimators, harness
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -608,6 +608,33 @@ class TestCampaign:
                 serial = (Path(tmp) / "serial" / name).read_bytes()
                 assert (Path(tmp) / "pool" / name).read_bytes() == serial, (threads, name)
 
+    def test_outputs_do_not_depend_on_cache_state(self, tmp_path, monkeypatch):
+        # cold, warm, and warmed on another scene: the same bytes at 1 and 2 threads
+        camp = Campaign(
+            scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3,
+            estimators=("two_stage", "baseline_ff_music"),
+        )
+        other = Campaign(
+            scenario=small_scenario(sources=(SourceTruth.from_degrees(-5.0, 60.0),)), trials=3
+        )
+        runs = []
+
+        def outputs(threads):
+            out = tmp_path / f"run{len(runs)}"
+            run_campaign(camp, out_dir=out, threads=threads)
+            runs.append([(out / name).read_bytes() for name in ("rmse.csv", "trial_errors.csv")])
+
+        for threads in (1, 2):
+            monkeypatch.setattr(
+                estimators, "_COLUMNS", estimators._ColumnCache(estimators._CACHE_COLUMNS)
+            )
+            estimators._far_field_manifold.cache_clear()
+            outputs(threads)
+            outputs(threads)
+            run_campaign(other, threads=threads)
+            outputs(threads)
+        assert all(run == runs[0] for run in runs)
+
     def test_thread_count_checked_and_capped(self, monkeypatch):
         camp = Campaign(scenario=small_scenario(), sweep="none", trials=2)
         for bad in (0, -1):
@@ -672,7 +699,7 @@ class TestCli:
         assert (tmp_path / "out" / "stage1_proposed.csv").exists()
         assert "source" in capsys.readouterr().out
 
-    def test_campaign_verb_with_overrides(self, tmp_path, capsys):
+    def test_campaign_verb_with_overrides(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "camp.yaml"
         path.write_text(
             "seed: 3\nsnapshots: 100\n"
@@ -702,6 +729,19 @@ class TestCli:
             assert exit_info.value.code == 2
             assert "seed must be a whole number >= 0, got '-1'" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
+
+        # An --out that names a file, or lies under one, exits 2 before any work.
+        for name in ("run_single_shot", "run_campaign", "write_crb_csv"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran with a bad --out"))
+        taken = tmp_path / "taken.txt"
+        taken.write_text("")
+        for verb in ("single-shot", "campaign", "crb"):
+            for out in (taken, taken / "sub"):
+                assert cli_main([verb, str(path), "--out", str(out)]) == 2
+                assert f"error: --out {out} is not a directory" in capsys.readouterr().err
+        path.write_text(path.read_text().replace("trials: 50}", f"trials: 1, out_dir: {taken}}}"))
+        assert cli_main(["campaign", str(path)]) == 2
+        assert f"error: out_dir {taken} is not a directory" in capsys.readouterr().err
 
     def test_crb_verb(self, tmp_path):
         rc = cli_main(
