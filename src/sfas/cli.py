@@ -10,6 +10,7 @@ from pathlib import Path
 from .harness import (
     Campaign,
     ScenarioFileError,
+    _output_directory,
     load_file,
     run_campaign,
     run_single_shot,
@@ -102,11 +103,12 @@ def _cmd_validate(args) -> int:
 def _not_a_directory(path: Path, name: str) -> bool:
     """Whether output directory `path` cannot be made because it, or its
     nearest existing parent, is not a directory; if so, says so on stderr."""
-    existing = next(p for p in (path, *path.absolute().parents) if p.exists())
-    if existing.is_dir():
-        return False
-    print(f"error: {name} {path} is not a directory", file=sys.stderr)
-    return True
+    try:
+        _output_directory(path)
+    except NotADirectoryError:
+        print(f"error: {name} {path} is not a directory", file=sys.stderr)
+        return True
+    return False
 
 
 def _whole_number(name: str, minimum: int):

@@ -410,13 +410,13 @@ class _Lattice:
 
     def best(self, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
         """The least cell of rows x cols (ascending indices); its unseen
-        cells are evaluated first, in one cost call."""
-        ii, jj = np.meshgrid(rows, cols, indexing="ij")
-        new = np.isnan(self.values[ii, jj])
-        if new.any():
-            i, j = ii[new], jj[new]
-            self.values[i, j] = self._cost.cells(self.angles_deg, self.ranges, i, j)
-        k, m = divmod(int(np.argmin(self.values[ii, jj])), len(cols))
+        cells are evaluated first, row-major, in one cost call."""
+        block = self.values[rows[:, None], cols]
+        a, b = np.nonzero(np.isnan(block))
+        if len(a):
+            i, j = rows[a], cols[b]
+            block[a, b] = self.values[i, j] = self._cost.cells(self.angles_deg, self.ranges, i, j)
+        k, m = divmod(int(np.argmin(block)), len(cols))
         return int(rows[k]), int(cols[m])
 
     def descend(self, i: int, j: int) -> tuple[int, int]:
@@ -454,6 +454,13 @@ def _parabolic_vertex(d_lo: float, d_mid: float, d_hi: float) -> float:
     return float(np.clip(0.5 * (d_lo - d_hi) / curvature, -1.0, 1.0))
 
 
+# Design matrix of the 3x3 quadratic fit: the terms 1, x, y, x^2, y^2, xy
+# at the unit offsets (x, y) of the patch cells, row-major.
+_QUADRATIC_BASIS = np.array(
+    [[1.0, x, y, x * x, y * y, x * y] for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+)
+
+
 def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
     """Sub-grid offsets of the minimum of a quadratic fit to a 3x3 patch.
 
@@ -462,11 +469,7 @@ def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
     included, which matters on tilted angle/range ridges.  None when the
     fitted Hessian is not positive definite.
     """
-    x, y = np.meshgrid((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), indexing="ij")
-    x = x.ravel()
-    y = y.ravel()
-    basis = np.column_stack([np.ones(9), x, y, x * x, y * y, x * y])
-    p, *_ = np.linalg.lstsq(basis, patch.ravel(), rcond=None)
+    p, *_ = np.linalg.lstsq(_QUADRATIC_BASIS, patch.ravel(), rcond=None)
     hess = np.array([[2.0 * p[3], p[5]], [p[5], 2.0 * p[4]]])
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     if hess[0, 0] <= 0.0 or det <= 0.0:

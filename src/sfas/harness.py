@@ -442,6 +442,19 @@ def _write_csv(path, header: list[str], rows, metadata: dict) -> None:
         writer.writerows(rows)
 
 
+def _output_directory(out_dir) -> Path | None:
+    """`out_dir` as a Path (None stays None).  Raises NotADirectoryError,
+    naming it, when it or its nearest existing parent is not a directory,
+    so that a run never computes what it cannot write."""
+    if out_dir is None:
+        return None
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"out_dir {path} is not a directory")
+    return path
+
+
 def _write_manifest(out_dir: Path, meta: dict, outputs: list[str]) -> None:
     manifest = {"version": __version__, "config": meta, "outputs": outputs}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -492,6 +505,7 @@ def run_single_shot(
     at one thread meanwhile (see `_blas`), so the artifacts do not depend
     on the host's core count.
     """
+    out_dir = _output_directory(out_dir)
     two_stage = "two_stage" if scenario.coupling_extended is None else "two_stage_mc"
     labels = {"baseline_ff_music": "conventional baseline", two_stage: "two-stage pipeline"}
     spectra = _Spectra()
@@ -516,7 +530,7 @@ def run_single_shot(
         ),
     )
     if out_dir is not None:
-        _export_single_shot(bundle, Path(out_dir))
+        _export_single_shot(bundle, out_dir)
     return bundle
 
 
@@ -784,6 +798,7 @@ def run_campaign(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    out_dir = _output_directory(out_dir)
     cells = [campaign.scenario_at(value) for value in campaign.values]
     jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
 
@@ -818,7 +833,6 @@ def run_campaign(
             rmse_rows.extend(_crb_rows(value, crb1, crb2))
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
         meta = campaign_to_dict(campaign)
         _write_csv(out_dir / "rmse.csv", _LONG_FORM_HEADER, rmse_rows, meta)
         _write_csv(

@@ -13,6 +13,7 @@ order on any number of workers.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -193,24 +194,32 @@ def _noise_matrix(scenario: Scenario, trial: int, stage: str, m: int) -> np.ndar
     pairs = _stream(scenario.seed, trial, stage, _ROLE_NOISE).standard_normal(
         (scenario.snapshots, m, 2)
     )
-    return np.sqrt(var / 2.0) * (pairs[:, :, 0] + 1j * pairs[:, :, 1]).T
+    pairs *= np.sqrt(var / 2.0)
+    # Each (re, im) pair of the last axis is one complex sample.
+    return pairs.view(complex)[:, :, 0].T
 
 
-def _channel_matrix(scenario: Scenario, config: ArrayConfig, model: CouplingModel | None) -> np.ndarray:
-    if not scenario.sources:
-        return np.zeros((config.element_count, 0), dtype=complex)
-    steering = np.column_stack(
-        [esg_steering_centered(src, config) for src in scenario.sources]
-    )
-    if model is None or model.reference_strength == 0.0:
-        return steering
-    return coupling_matrix(config, model) @ steering
+@functools.lru_cache(maxsize=32)
+def _channel_matrix(
+    sources: tuple[SourceTruth, ...], config: ArrayConfig, model: CouplingModel | None
+) -> np.ndarray:
+    """The (M, K) steering columns, coupled when `model` couples: they do
+    not depend on the trial, so they are built once per (sources, config,
+    model) and shared read-only by every trial."""
+    if not sources:
+        channel = np.zeros((config.element_count, 0), dtype=complex)
+    else:
+        channel = np.column_stack([esg_steering_centered(src, config) for src in sources])
+        if model is not None and model.reference_strength != 0.0:
+            channel = coupling_matrix(config, model) @ channel
+    channel.flags.writeable = False
+    return channel
 
 
 def _synthesize(
     scenario: Scenario, trial: int, stage: str, config: ArrayConfig, model: CouplingModel | None
 ) -> SnapshotBlock:
-    channel = _channel_matrix(scenario, config, model)
+    channel = _channel_matrix(scenario.sources, config, model)
     data = channel @ _signal_matrix(scenario, trial, stage)
     data = data + _noise_matrix(scenario, trial, stage, config.element_count)
     return SnapshotBlock(data, scenario.noise_variance, config)

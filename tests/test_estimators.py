@@ -29,6 +29,8 @@ from sfas.estimators import (
     two_stage_localize,
     _ColumnCache,
     _GridCost,
+    _Lattice,
+    _around,
     _mc_cost,
     _on_mesh,
     _plain_cost,
@@ -410,6 +412,59 @@ class TestSparseRefinement:
         pass1, cell1, pass2, cell2 = _search_passes(cost, coarse[0], search.initial_range, SETTINGS)
         assert cell1 == full_grid_argmin(cost, pass1.angles_deg, pass1.ranges)[1]
         assert cell2 == full_grid_argmin(cost, pass2.angles_deg, pass2.ranges)[1]
+
+
+class RecordingCost:
+    """A lattice cost read from a table, keeping every batch it is asked for."""
+
+    def __init__(self, table):
+        self.table = table
+        self.batches = []
+
+    def cells(self, angles_deg, ranges, rows, cols):
+        self.batches.append((rows.dtype.str, rows.tolist(), cols.dtype.str, cols.tolist()))
+        return self.table[rows, cols]
+
+
+def meshgrid_best(lattice, rows, cols):
+    """`_Lattice.best` as it was written with `np.meshgrid`: the oracle."""
+    ii, jj = np.meshgrid(rows, cols, indexing="ij")
+    new = np.isnan(lattice.values[ii, jj])
+    if new.any():
+        i, j = ii[new], jj[new]
+        lattice.values[i, j] = lattice._cost.cells(lattice.angles_deg, lattice.ranges, i, j)
+    k, m = divmod(int(np.argmin(lattice.values[ii, jj])), len(cols))
+    return int(rows[k]), int(cols[m])
+
+
+class TestLatticeStep:
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_step_matches_meshgrid_oracle(self, data):
+        # few distinct values make ties, which argmin must break the same way
+        n_a, n_r = data.draw(st.integers(1, 30), "angles"), data.draw(st.integers(1, 30), "ranges")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        levels = data.draw(st.sampled_from((2, 5, 1000)), "levels")
+        table = rng.integers(0, levels, (n_a, n_r)) / levels
+        axes = (np.linspace(-30.0, 30.0, n_a), np.linspace(100.0, 200.0, n_r))
+        fast, slow = _Lattice(RecordingCost(table), *axes), _Lattice(RecordingCost(table), *axes)
+        s = _SUBLATTICE_STRIDE
+
+        def indices(size, label):
+            kind = data.draw(st.sampled_from(("around", "stride", "subset")), label)
+            if kind == "around":
+                centre = data.draw(st.integers(0, size - 1), label)
+                return _around(centre, size, data.draw(st.sampled_from((1, 2, s)), label))
+            if kind == "stride":
+                return np.union1d(np.arange(0, size, s), [size - 1])
+            return np.array(sorted(data.draw(st.sets(
+                st.integers(0, size - 1), min_size=1, max_size=size), label)))
+
+        for _ in range(data.draw(st.integers(1, 8), "steps")):
+            rows, cols = indices(n_a, "rows"), indices(n_r, "cols")
+            assert fast.best(rows, cols) == meshgrid_best(slow, rows, cols)
+            assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast._cost.batches == slow._cost.batches
 
 
 class TestMcMusic:

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from sfas import cli, estimators, harness
+from sfas import cli, estimators, harness, simulate
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -629,11 +629,26 @@ class TestCampaign:
                 estimators, "_COLUMNS", estimators._ColumnCache(estimators._CACHE_COLUMNS)
             )
             estimators._far_field_manifold.cache_clear()
+            simulate._channel_matrix.cache_clear()
             outputs(threads)
             outputs(threads)
             run_campaign(other, threads=threads)
             outputs(threads)
         assert all(run == runs[0] for run in runs)
+
+    def test_bad_out_dir_raises_before_any_trial(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args))
+        taken = tmp_path / "taken.txt"
+        taken.write_text("")
+        camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
+        for out in (taken, taken / "sub", str(taken)):
+            with pytest.raises(NotADirectoryError, match=f"out_dir {out} is not a directory"):
+                run_campaign(camp, out_dir=out, threads=2)
+            with pytest.raises(NotADirectoryError, match=f"out_dir {out} is not a directory"):
+                run_single_shot(camp.scenario, out_dir=out)
+        assert calls == []
+        assert taken.read_text() == ""
 
     def test_thread_count_checked_and_capped(self, monkeypatch):
         camp = Campaign(scenario=small_scenario(), sweep="none", trials=2)

@@ -1,10 +1,12 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from sfas import simulate
 from sfas.coupling import CouplingModel, coupling_matrix
 from sfas.geometry import ArrayConfig, SourceTruth, esg_steering_centered
 from sfas.simulate import (
@@ -187,6 +189,73 @@ class TestGeneration:
         eye = np.eye(32)
         rel = np.linalg.norm(cov - eye) / np.linalg.norm(eye)
         assert rel < 0.05
+
+
+class TestSynthesisFastPaths:
+    """The noise view and the channel cache against what they replace."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        m=st.integers(1, 12),
+        snr_db=st.one_of(st.floats(-40.0, 60.0), st.just(float("inf"))),
+        seed=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 9),
+        stage=st.sampled_from(("compressed", "extended", "baseline")),
+    )
+    def test_noise_matrix_is_complex_sum_of_draws(self, n, m, snr_db, seed, trial, stage):
+        scen = Scenario(sources=(), snapshots=n, snr_db=snr_db, seed=seed)
+        var = scen.noise_variance
+        if var == 0.0:
+            oracle = np.zeros((m, n), dtype=complex)
+        else:
+            pairs = simulate._stream(seed, trial, stage, simulate._ROLE_NOISE).standard_normal(
+                (n, m, 2)
+            )
+            oracle = np.sqrt(var / 2.0) * (pairs[:, :, 0] + 1j * pairs[:, :, 1]).T
+        noise = simulate._noise_matrix(scen, trial, stage, m)
+        assert noise.dtype == oracle.dtype and noise.shape == oracle.shape
+        assert noise.flags["F_CONTIGUOUS"] == oracle.flags["F_CONTIGUOUS"]
+        assert noise.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_blocks_same_with_cold_and_warm_channel_cache(self, mixed_scenario, coupled):
+        scen = replace(
+            mixed_scenario,
+            snapshots=40,
+            coupling_extended=CouplingModel(0.3, 1.0, 0.0, band=2, symmetric=True)
+            if coupled else None,
+        )
+
+        def blocks():
+            return [
+                block.data.tobytes()
+                for trial in (0, 3)
+                for block in (
+                    generate_snapshots_compressed(scen, trial),
+                    generate_snapshots_extended(scen, coupled, trial),
+                    generate_snapshots_baseline(scen, trial),
+                )
+            ]
+
+        simulate._channel_matrix.cache_clear()
+        cold = blocks()
+        assert simulate._channel_matrix.cache_info().misses == 3
+        assert blocks() == cold
+        simulate._channel_matrix.cache_clear()
+        assert blocks() == cold
+
+    def test_cached_channel_is_read_only(self, mixed_scenario):
+        cfg = mixed_scenario.config_compressed
+        for sources, model in (
+            (mixed_scenario.sources, mixed_scenario.coupling),
+            (mixed_scenario.sources, None),
+            ((), None),
+        ):
+            channel = simulate._channel_matrix(sources, cfg, model)
+            assert channel.shape == (cfg.element_count, len(sources))
+            with pytest.raises(ValueError, match="read-only"):
+                channel[...] = 0.0
 
 
 class TestSampleCovariance:

@@ -8,11 +8,13 @@ hashed as one more file (``<verb>.stdout``).  Standard error is left out:
 its warnings name source lines, which move with any edit.
 
 Two checkouts whose CLI outputs agree byte for byte print identical
-lines, so a change that must not alter any output is checked with::
+lines, so a change that must not alter any output is checked with one
+command::
 
-    python tools/cli_digest.py > after.txt
-    python tools/cli_digest.py /path/to/other/checkout > before.txt
-    diff before.txt after.txt
+    python tools/cli_digest.py --against /path/to/other/checkout
+
+which runs both checkouts and prints the paths whose hashes differ (or
+that only one of them writes); it exits 1 if any differ and 0 if none do.
 
 The optional argument is the root of the checkout to run (default: the
 one holding this script); its ``src/`` and ``scenarios/`` are used.
@@ -50,12 +52,16 @@ def run_all(root: Path, work: Path) -> None:
             (work / f"{out}.stdout").write_text(f"{proc.stdout}exit {proc.returncode}\n")
 
 
-def digest(work: Path) -> list[str]:
-    files = sorted(p for p in work.rglob("*") if p.is_file())
-    return [
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work).as_posix()}"
-        for p in files
-    ]
+def digest(root: Path) -> dict[str, str]:
+    """sha256 of every output of `root`'s CLI, by path."""
+    with tempfile.TemporaryDirectory(prefix="sfas-digest-") as tmp:
+        work = Path(tmp)
+        run_all(root, work)
+        return {
+            p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*"))
+            if p.is_file()
+        }
 
 
 def main(argv=None) -> int:
@@ -64,13 +70,23 @@ def main(argv=None) -> int:
         "root", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
         help="checkout to run (default: this one)",
     )
-    root = parser.parse_args(argv).root.resolve()
-    with tempfile.TemporaryDirectory(prefix="sfas-digest-") as tmp:
-        run_all(root, Path(tmp))
-        lines = digest(Path(tmp))
-    print("\n".join(lines))
-    print(f"{len(lines)} files")
-    return 0
+    parser.add_argument(
+        "--against", type=Path, default=None,
+        help="another checkout: print the paths whose hashes differ; exit 1 if any do",
+    )
+    args = parser.parse_args(argv)
+    hashes = digest(args.root.resolve())
+    if args.against is None:
+        print("\n".join(f"{h}  {path}" for path, h in hashes.items()))
+        print(f"{len(hashes)} files")
+        return 0
+    other = digest(args.against.resolve())
+    paths = sorted(hashes.keys() | other.keys())
+    differ = [path for path in paths if hashes.get(path) != other.get(path)]
+    for path in differ:
+        print(path)
+    print(f"{len(differ)} of {len(paths)} files differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
