@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -585,83 +584,53 @@ class _GridCost:
         return self.column_cost(esg_manifold_centered(angles_rad, ranges, self.config))
 
     def cells(self, angles_deg, ranges, rows, cols) -> np.ndarray:
-        """The cost at cells (angles_deg[rows], ranges[cols]) of a lattice."""
-        return self.column_cost(_COLUMNS.manifold(self.config, angles_deg, ranges, rows, cols))
+        """The cost at distinct cells (angles_deg[rows], ranges[cols]) of a
+        lattice, from its column store.  A column does not depend on the
+        batch it is computed in, so the manifold holds the bytes
+        `esg_manifold_centered` gives for the same cells.  The complex
+        `exp` of missing columns runs outside the lock."""
+        store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
+        with store.lock:
+            slots, columns = store.slots[rows, cols], store.columns
+        miss = slots < 0
+        if miss.any():
+            r, c = rows[miss], cols[miss]
+            new = esg_manifold_centered(np.deg2rad(angles_deg[r]), ranges[c], self.config)
+            with store.lock:
+                fresh = store.slots[r, c] < 0  # another thread may have stored some
+                count = store.columns.shape[1]
+                store.slots[r[fresh], c[fresh]] = np.arange(count, count + int(fresh.sum()))
+                store.columns = np.concatenate((store.columns, new[:, fresh]), axis=1)
+                slots, columns = store.slots[rows, cols], store.columns
+        return self.column_cost(np.take(columns, slots, axis=1))
 
 
-# Columns the exact-geometry cache holds: 2 MiB at M = 32.  A 4-source
-# campaign revisits about this many; at 3,072 its lattices start to evict
-# each other before they are reused.
-_CACHE_COLUMNS = 4096
+# Lattices whose exact-geometry columns stay cached.  A 4-source campaign
+# revisits 28 (about 4,300 columns, 2 MiB at M = 32); a lattice holds only
+# the columns of the cells it was asked for.
+_CACHED_LATTICES = 32
 
 
-class _ColumnCache:
-    """Exact-geometry steering columns of the lattices the searches revisit.
+@dataclass
+class _LatticeColumns:
+    """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
+    cell until its column is computed and then the column's index in
+    `columns`, where new columns are appended in request order: the store
+    holds one column per distinct cell requested.  `lock` orders appends
+    and pairs each read of `slots` with its `columns`, which is replaced,
+    never written, so a gather needs no lock."""
 
-    A lattice, keyed by (config, angle bytes in degrees, range bytes),
-    maps each cell to a slot of one preallocated (M, capacity) slab, or
-    to -1 before the cell's column is computed.  Whole lattices are
-    evicted, least recently used first; columns that do not fit even then
-    are served without being stored.  A column does not depend on the
-    batch it is computed in, so a served manifold holds the bytes
-    `esg_manifold_centered` gives for the same cells; each call returns a
-    fresh C-contiguous array.  Slot lookup, reuse and the gather share
-    one lock, so an eviction cannot hand a slot to another lattice while
-    it is read; the complex `exp` of missing columns runs outside it.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._slab = np.empty((0, capacity), dtype=complex)
-        self._lattices: OrderedDict = OrderedDict()
-        self._free = list(range(capacity))
-
-    def manifold(self, config: ArrayConfig, angles_deg, ranges, rows, cols) -> np.ndarray:
-        """The (M, len(rows)) manifold of cells (angles_deg[rows], ranges[cols])."""
-        key = (config, angles_deg.tobytes(), ranges.tobytes())
-        out = np.empty((config.element_count, len(rows)), dtype=complex)
-        with self._lock:
-            lattice = self._lattices.get(key)
-            miss = np.ones(len(rows), dtype=bool)
-            if lattice is not None:
-                self._lattices.move_to_end(key)
-                slots = lattice[rows, cols]
-                miss = slots < 0
-                if not miss.any():
-                    return np.take(self._slab, slots, axis=1)
-                out[:, ~miss] = self._slab[:, slots[~miss]]
-        rows, cols = rows[miss], cols[miss]
-        out[:, miss] = esg_manifold_centered(np.deg2rad(angles_deg[rows]), ranges[cols], config)
-        with self._lock:
-            self._store(key, (len(angles_deg), len(ranges)), rows, cols, out[:, miss])
-        return out
-
-    def _store(self, key, shape, rows, cols, columns) -> None:
-        """Store distinct cells' columns of lattice `key`, evicting least
-        recently used lattices, unless they cannot fit beside its own."""
-        if self._slab.shape[0] != columns.shape[0]:
-            self._lattices.clear()
-            self._free = list(range(self.capacity))
-            self._slab = np.empty((columns.shape[0], self.capacity), dtype=complex)
-        slots = self._lattices.pop(key, None)
-        if slots is None:
-            slots = np.full(shape, -1, dtype=np.min_scalar_type(-self.capacity))
-        new = slots[rows, cols] < 0  # another thread may have stored some
-        rows, cols, n = rows[new], cols[new], int(new.sum())
-        if 0 < n <= self.capacity - int((slots >= 0).sum()):
-            while len(self._free) < n:
-                _, old = self._lattices.popitem(last=False)
-                self._free += old[old >= 0].tolist()
-            taken = self._free[len(self._free) - n:]
-            del self._free[len(self._free) - n:]
-            slots[rows, cols] = taken
-            self._slab[:, taken] = columns[:, new]
-        if (slots >= 0).any():
-            self._lattices[key] = slots
+    slots: np.ndarray
+    columns: np.ndarray
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-_COLUMNS = _ColumnCache(_CACHE_COLUMNS)
+@functools.lru_cache(maxsize=_CACHED_LATTICES)
+def _lattice_columns(config: ArrayConfig, angle_bytes: bytes, range_bytes: bytes):
+    """The column store of the lattice whose float64 axes (angles in
+    degrees, ranges) have these bytes."""
+    shape = (np.frombuffer(angle_bytes).size, np.frombuffer(range_bytes).size)
+    return _LatticeColumns(np.full(shape, -1), np.empty((config.element_count, 0), complex))
 
 
 def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:

@@ -851,13 +851,14 @@ def run_campaign(
 
 def write_crb_csv(campaign: Campaign, out_dir) -> Path:
     """Bound curves alone, in the same schema as the RMSE export."""
+    out_dir = _output_directory(out_dir)
     rows: list[list[str]] = []
     for value in campaign.values:
         scenario = campaign.scenario_at(value)
         if scenario.noise_variance == 0.0:
             raise ScenarioFileError("CRB export needs a finite SNR")
         rows.extend(_crb_rows(value, *_bounds(scenario)))
-    path = Path(out_dir) / "crb.csv"
+    path = out_dir / "crb.csv"
     _write_csv(path, _LONG_FORM_HEADER, rows, campaign_to_dict(campaign))
     return path
 

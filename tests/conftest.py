@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from sfas import CouplingModel, Scenario, SourceTruth
+from sfas import CouplingModel, Scenario, SourceTruth, estimators, simulate
+
+
+def clear_steering_caches():
+    """Empty the exact-geometry column stores, the far-field manifold memo
+    and the channel memo, so the next run starts cold."""
+    estimators._lattice_columns.cache_clear()
+    estimators._far_field_manifold.cache_clear()
+    simulate._channel_matrix.cache_clear()
 
 
 def mixed_field_sources():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from conftest import clear_steering_caches
 from sfas import estimators
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
-    _CACHE_COLUMNS,
+    _CACHED_LATTICES,
     _SUBLATTICE_STRIDE,
     DegenerateSubspaceError,
     EstimatorSettings,
@@ -27,7 +28,6 @@ from sfas.estimators import (
     stage2_range_search,
     stage2_refine,
     two_stage_localize,
-    _ColumnCache,
     _GridCost,
     _Lattice,
     _around,
@@ -43,7 +43,7 @@ from sfas.geometry import (
     esg_manifold_centered,
     ff_manifold,
 )
-from sfas.harness import run_single_shot
+from sfas.harness import Campaign, run_campaign, run_single_shot
 from sfas.simulate import (
     CovarianceEstimate,
     Scenario,
@@ -731,24 +731,26 @@ class TestSpectrumSanity:
             SpectrumGrid((np.array([0.0, 1.0]),), ("x",), np.array([1.0, np.inf]))
 
 
-def assert_slots_accounted(cache, budget):
-    """Every slot taken from the free list is held by one stored lattice."""
-    held = sum(int((slots >= 0).sum()) for slots in cache._lattices.values())
-    assert cache.capacity - len(cache._free) == held <= budget
-
-
 class TestColumnCache:
     """Steering columns served from the cache are the bytes computed afresh."""
 
-    @hyp_settings(max_examples=60, deadline=None)
+    @staticmethod
+    def assert_one_column_per_cell(store, cells=()):
+        """The memory bound: a store holds the columns of the cells it was
+        asked for (`cells` among them) and no others."""
+        assert store.columns.shape[1] == int((store.slots >= 0).sum())
+        assert all(store.slots[cell] >= 0 for cell in cells)
+
+    @hyp_settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_served_manifold_is_computed_manifold(self, data):
-        # a tiny budget forces evictions and bypasses, and two element
-        # counts make the slab change shape between requests
-        budget = data.draw(st.integers(1, 40), "budget")
+        # every lattice is asked for once, in turn, and then some again:
+        # with more lattices than the cache holds, stores are evicted and
+        # rebuilt, and two element counts share the cache
+        clear_steering_caches()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
         lattices = []
-        for _ in range(data.draw(st.integers(1, 3), "lattices")):
+        for _ in range(_CACHED_LATTICES + data.draw(st.integers(1, 8), "extra lattices")):
             m = data.draw(st.sampled_from((4, 7)), "elements")
             config = ArrayConfig(m, 0.5, data.draw(st.sampled_from((0.2, 1.0, 2.0)), "scale"))
             n_a, n_r = data.draw(st.integers(1, 7), "angles"), data.draw(st.integers(1, 7), "ranges")
@@ -757,26 +759,23 @@ class TestColumnCache:
                 np.sort(rng.uniform(-89.9, 89.9, n_a)),
                 np.sort(rng.uniform(1.0, 1e4, n_r)),
             ))
-        cache = _ColumnCache(budget)
-        with mock.patch.object(estimators, "_COLUMNS", cache):
-            for _ in range(data.draw(st.integers(1, 12), "requests")):
-                config, angles, ranges = lattices[data.draw(st.integers(0, len(lattices) - 1))]
-                cells = data.draw(st.lists(
-                    st.integers(0, len(angles) * len(ranges) - 1), min_size=1, unique=True
-                ), "cells")
-                rows, cols = np.divmod(np.array(cells), len(ranges))
-                served = _GridCost(lambda manifold: manifold, config).cells(
-                    angles, ranges, rows, cols
-                )
-                fresh = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
-                assert served.flags["C_CONTIGUOUS"] and served.shape == fresh.shape
-                assert served.tobytes() == fresh.tobytes()
-                assert_slots_accounted(cache, budget)
+        revisits = data.draw(st.lists(st.integers(0, len(lattices) - 1), max_size=20), "revisits")
+        for k in [*range(len(lattices)), *revisits]:
+            config, angles, ranges = lattices[k]
+            cells = data.draw(st.lists(
+                st.integers(0, len(angles) * len(ranges) - 1), min_size=1, unique=True
+            ), "cells")
+            rows, cols = np.divmod(np.array(cells), len(ranges))
+            served = _GridCost(lambda manifold: manifold, config).cells(angles, ranges, rows, cols)
+            fresh = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
+            assert served.flags["C_CONTIGUOUS"] and served.shape == fresh.shape
+            assert served.tobytes() == fresh.tobytes()
+            store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+            self.assert_one_column_per_cell(store, zip(rows, cols))
+        assert estimators._lattice_columns.cache_info().currsize == _CACHED_LATTICES
 
     @pytest.mark.parametrize("mc_band", [None, 2])
-    def test_two_stage_same_uncached_cold_and_warm(
-        self, coupled_extended_scenario, mc_band, monkeypatch
-    ):
+    def test_two_stage_same_uncached_cold_and_warm(self, coupled_extended_scenario, mc_band):
         scen = coupled_extended_scenario
         block_c = generate_snapshots_compressed(scen)
         block_e = generate_snapshots_extended(scen, include_coupling=True)
@@ -788,36 +787,47 @@ class TestColumnCache:
             _GridCost, "cells", lambda cost, a, r, rows, cols: cost(np.deg2rad(a[rows]), r[cols])
         ):
             uncached = localize()
-        monkeypatch.setattr(estimators, "_COLUMNS", _ColumnCache(_CACHE_COLUMNS))
-        estimators._far_field_manifold.cache_clear()
+        clear_steering_caches()
         cold = localize()
-        assert estimators._COLUMNS._lattices
+        assert estimators._lattice_columns.cache_info().currsize
         assert cold == uncached
         assert localize() == uncached
 
+    def test_second_pass_of_mixed_trials_computes_no_exact_column(self, mixed_scenario):
+        # 150 trials of the 4-source scene revisit 27 lattices holding
+        # 4,144 columns: the cache keeps them all, so a second pass finds
+        # every column it needs
+        campaign = Campaign(scenario=mixed_scenario, trials=150, estimators=("two_stage",))
+        clear_steering_caches()
+        with mock.patch.object(
+            estimators, "esg_manifold_centered", wraps=esg_manifold_centered
+        ) as computed:
+            run_campaign(campaign)
+            assert computed.call_count > 0
+            computed.reset_mock()
+            run_campaign(campaign)
+        assert computed.call_count == 0
+
     def test_threads_filling_one_lattice_agree(self):
-        # 4 threads fill one lattice at once, then keep filling and
-        # gathering while three 36-cell lattices evict each other from an
-        # 80-column slab
-        budget = 80
-        cache = _ColumnCache(budget)
+        # in each round 4 threads fill one new 36-cell lattice at once, each
+        # in its own order of 5-cell batches
         config = ArrayConfig(16, 0.5, 2.0)
         ranges = np.geomspace(20.0, 2000.0, 6)
-        angles = [np.linspace(lo, lo + 10.0, 6) for lo in (-30.0, 0.0, 30.0)]
-        rows, cols = np.divmod(np.arange(36)[::-1], 6)
-        fresh = [
-            esg_manifold_centered(np.deg2rad(a[rows]), ranges[cols], config).tobytes()
-            for a in angles
-        ]
+        lattices = [np.linspace(lo, lo + 10.0, 6) for lo in np.linspace(-60.0, 60.0, 30)]
+        rows, cols = np.divmod(np.arange(36), 6)
+        fresh = [esg_manifold_centered(np.deg2rad(a[rows]), ranges[cols], config) for a in lattices]
+        orders = [np.random.default_rng(k).permutation(36) for k in range(4)]
+        cost = _GridCost(lambda manifold: manifold, config)
+        clear_steering_caches()
         barrier = threading.Barrier(4)
         served = [[] for _ in range(4)]
 
         def work(k):
-            barrier.wait(timeout=10)
-            for n in range(1000):
-                lattice = (n + k) % 3 if n >= 20 else 0
-                blob = cache.manifold(config, angles[lattice], ranges, rows, cols).tobytes()
-                served[k].append(blob == fresh[lattice])
+            for angles, columns in zip(lattices, fresh):
+                barrier.wait(timeout=10)
+                for batch in np.array_split(orders[k], 8):
+                    blob = cost.cells(angles, ranges, rows[batch], cols[batch]).tobytes()
+                    served[k].append(blob == columns[:, batch].tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -830,8 +840,10 @@ class TestColumnCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert all(len(s) == 1000 and all(s) for s in served)
-        assert_slots_accounted(cache, budget)
+        assert all(len(s) == 8 * len(lattices) and all(s) for s in served)
+        for angles in lattices:
+            store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+            self.assert_one_column_per_cell(store, zip(rows, cols))
 
     def test_far_field_manifold_is_read_only(self):
         config = ArrayConfig(8)

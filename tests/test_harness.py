@@ -10,7 +10,8 @@ import pytest
 import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from sfas import cli, estimators, harness, simulate
+from conftest import clear_steering_caches
+from sfas import cli, estimators, harness
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -26,6 +27,7 @@ from sfas.harness import (
     run_single_shot,
     scenario_to_dict,
     validate_scenario,
+    write_crb_csv,
 )
 from sfas.simulate import Scenario
 
@@ -608,7 +610,7 @@ class TestCampaign:
                 serial = (Path(tmp) / "serial" / name).read_bytes()
                 assert (Path(tmp) / "pool" / name).read_bytes() == serial, (threads, name)
 
-    def test_outputs_do_not_depend_on_cache_state(self, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_cache_state(self, tmp_path):
         # cold, warm, and warmed on another scene: the same bytes at 1 and 2 threads
         camp = Campaign(
             scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3,
@@ -625,11 +627,7 @@ class TestCampaign:
             runs.append([(out / name).read_bytes() for name in ("rmse.csv", "trial_errors.csv")])
 
         for threads in (1, 2):
-            monkeypatch.setattr(
-                estimators, "_COLUMNS", estimators._ColumnCache(estimators._CACHE_COLUMNS)
-            )
-            estimators._far_field_manifold.cache_clear()
-            simulate._channel_matrix.cache_clear()
+            clear_steering_caches()
             outputs(threads)
             outputs(threads)
             run_campaign(other, threads=threads)
@@ -639,6 +637,7 @@ class TestCampaign:
     def test_bad_out_dir_raises_before_any_trial(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_bounds", lambda *args: calls.append(args))
         taken = tmp_path / "taken.txt"
         taken.write_text("")
         camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
@@ -647,6 +646,8 @@ class TestCampaign:
                 run_campaign(camp, out_dir=out, threads=2)
             with pytest.raises(NotADirectoryError, match=f"out_dir {out} is not a directory"):
                 run_single_shot(camp.scenario, out_dir=out)
+            with pytest.raises(NotADirectoryError, match=f"out_dir {out} is not a directory"):
+                write_crb_csv(camp, out)
         assert calls == []
         assert taken.read_text() == ""
 
