@@ -10,7 +10,6 @@ from pathlib import Path
 from .harness import (
     Campaign,
     ScenarioFileError,
-    _output_directory,
     load_file,
     run_campaign,
     run_single_shot,
@@ -59,8 +58,6 @@ def _cmd_campaign(args) -> int:
     if args.trials is not None:
         campaign = replace(campaign, trials=args.trials)
     out = args.out or campaign.out_dir
-    if out is not None and args.out is None and _not_a_directory(Path(out), "out_dir"):
-        return 2
     records = run_campaign(campaign, out_dir=out, threads=args.threads)
     for rec in records:
         acc = (
@@ -98,17 +95,6 @@ def _cmd_validate(args) -> int:
         failed += 0 if ok else 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
-
-
-def _not_a_directory(path: Path, name: str) -> bool:
-    """Whether output directory `path` cannot be made because it, or its
-    nearest existing parent, is not a directory; if so, says so on stderr."""
-    try:
-        _output_directory(path)
-    except NotADirectoryError:
-        print(f"error: {name} {path} is not a directory", file=sys.stderr)
-        return True
-    return False
 
 
 def _whole_number(name: str, minimum: int):
@@ -169,11 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None) is not None and _not_a_directory(args.out, "--out"):
-        return 2
     try:
         return args.fn(args)
-    except ScenarioFileError as exc:
+    except (ScenarioFileError, NotADirectoryError) as exc:
+        # The library names a bad output directory `out_dir`; say `--out` if it came from there.
+        if isinstance(exc, NotADirectoryError) and getattr(args, "out", None) is not None:
+            exc = f"--out {args.out} is not a directory"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -587,21 +587,19 @@ class _GridCost:
         """The cost at distinct cells (angles_deg[rows], ranges[cols]) of a
         lattice, from its column store.  A column does not depend on the
         batch it is computed in, so the manifold holds the bytes
-        `esg_manifold_centered` gives for the same cells.  The complex
-        `exp` of missing columns runs outside the lock."""
-        store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
+        `esg_manifold_centered` gives for the same cells.  Missing columns
+        are computed once, under the store's lock."""
+        with _STORES_LOCK:
+            store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
         with store.lock:
-            slots, columns = store.slots[rows, cols], store.columns
-        miss = slots < 0
-        if miss.any():
-            r, c = rows[miss], cols[miss]
-            new = esg_manifold_centered(np.deg2rad(angles_deg[r]), ranges[c], self.config)
-            with store.lock:
-                fresh = store.slots[r, c] < 0  # another thread may have stored some
+            miss = store.slots[rows, cols] < 0
+            if miss.any():
+                r, c = rows[miss], cols[miss]
+                new = esg_manifold_centered(np.deg2rad(angles_deg[r]), ranges[c], self.config)
                 count = store.columns.shape[1]
-                store.slots[r[fresh], c[fresh]] = np.arange(count, count + int(fresh.sum()))
-                store.columns = np.concatenate((store.columns, new[:, fresh]), axis=1)
-                slots, columns = store.slots[rows, cols], store.columns
+                store.slots[r, c] = np.arange(count, count + new.shape[1])
+                store.columns = np.concatenate((store.columns, new), axis=1)
+            slots, columns = store.slots[rows, cols], store.columns
         return self.column_cost(np.take(columns, slots, axis=1))
 
 
@@ -609,6 +607,7 @@ class _GridCost:
 # revisits 28 (about 4,300 columns, 2 MiB at M = 32); a lattice holds only
 # the columns of the cells it was asked for.
 _CACHED_LATTICES = 32
+_STORES_LOCK = threading.Lock()  # held for each lookup: one store per lattice
 
 
 @dataclass
@@ -616,7 +615,7 @@ class _LatticeColumns:
     """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
     cell until its column is computed and then the column's index in
     `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested.  `lock` orders appends
+    holds one column per distinct cell requested.  `lock` guards each fill
     and pairs each read of `slots` with its `columns`, which is replaced,
     never written, so a gather needs no lock."""
 

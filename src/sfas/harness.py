@@ -195,6 +195,12 @@ def _text(value) -> str:
     return value
 
 
+def _directory(value) -> str:
+    if not _text(value):
+        raise ValueError("must name a directory, got ''")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
@@ -272,7 +278,7 @@ _CAMPAIGN_KEYS = {
     "values": _list_of(_real_or_inf),
     "trials": _whole,
     "estimators": _list_of(_text),
-    "out_dir": _optional(_text),
+    "out_dir": _optional(_directory),
 }
 
 
@@ -852,12 +858,10 @@ def run_campaign(
 def write_crb_csv(campaign: Campaign, out_dir) -> Path:
     """Bound curves alone, in the same schema as the RMSE export."""
     out_dir = _output_directory(out_dir)
-    rows: list[list[str]] = []
-    for value in campaign.values:
-        scenario = campaign.scenario_at(value)
-        if scenario.noise_variance == 0.0:
-            raise ScenarioFileError("CRB export needs a finite SNR")
-        rows.extend(_crb_rows(value, *_bounds(scenario)))
+    cells = [(value, campaign.scenario_at(value)) for value in campaign.values]
+    if any(scenario.noise_variance == 0.0 for _, scenario in cells):
+        raise ScenarioFileError("CRB export needs a finite SNR")
+    rows = [row for value, scenario in cells for row in _crb_rows(value, *_bounds(scenario))]
     path = out_dir / "crb.csv"
     _write_csv(path, _LONG_FORM_HEADER, rows, campaign_to_dict(campaign))
     return path

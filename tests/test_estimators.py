@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -808,9 +809,34 @@ class TestColumnCache:
             run_campaign(campaign)
         assert computed.call_count == 0
 
-    def test_threads_filling_one_lattice_agree(self):
+    @staticmethod
+    def count_columns(monkeypatch):
+        """A list that gets the size of every batch of exact-geometry
+        columns computed through `estimators.esg_manifold_centered` from now on."""
+        counted = []
+
+        def counting(angles_rad, ranges, config):
+            counted.append(len(angles_rad))
+            return esg_manifold_centered(angles_rad, ranges, config)
+
+        monkeypatch.setattr(estimators, "esg_manifold_centered", counting)
+        return counted
+
+    def test_cold_campaign_columns_do_not_depend_on_threads(self, mixed_scenario, monkeypatch):
+        # a store computes each missing column once, under its lock, so a
+        # cold pass computes the same columns at any thread count
+        campaign = Campaign(scenario=replace(mixed_scenario, seed=1401), trials=16)
+        totals = []
+        for threads in (1, 2):
+            clear_steering_caches()
+            counted = self.count_columns(monkeypatch)
+            run_campaign(campaign, threads=threads)
+            totals.append(sum(counted))
+        assert totals[0] > 0 and totals[1] == totals[0]
+
+    def test_threads_filling_one_lattice_agree(self, monkeypatch):
         # in each round 4 threads fill one new 36-cell lattice at once, each
-        # in its own order of 5-cell batches
+        # in its own order of 5-cell batches; each cell's column is computed once
         config = ArrayConfig(16, 0.5, 2.0)
         ranges = np.geomspace(20.0, 2000.0, 6)
         lattices = [np.linspace(lo, lo + 10.0, 6) for lo in np.linspace(-60.0, 60.0, 30)]
@@ -819,6 +845,7 @@ class TestColumnCache:
         orders = [np.random.default_rng(k).permutation(36) for k in range(4)]
         cost = _GridCost(lambda manifold: manifold, config)
         clear_steering_caches()
+        counted = self.count_columns(monkeypatch)
         barrier = threading.Barrier(4)
         served = [[] for _ in range(4)]
 
@@ -841,6 +868,7 @@ class TestColumnCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(len(s) == 8 * len(lattices) and all(s) for s in served)
+        assert sum(counted) == 36 * len(lattices)
         for angles in lattices:
             store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
             self.assert_one_column_per_cell(store, zip(rows, cols))

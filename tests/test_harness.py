@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from conftest import clear_steering_caches
-from sfas import cli, estimators, harness
+from sfas import estimators, harness
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -651,6 +651,15 @@ class TestCampaign:
         assert calls == []
         assert taken.read_text() == ""
 
+    def test_crb_export_checks_every_snr_before_any_bound(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_bounds", lambda *args: calls.append(args))
+        camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(0.0, 10.0, math.inf))
+        with pytest.raises(ScenarioFileError, match="CRB export needs a finite SNR"):
+            write_crb_csv(camp, tmp_path / "bounds")
+        assert calls == []
+        assert not (tmp_path / "bounds").exists()
+
     def test_thread_count_checked_and_capped(self, monkeypatch):
         camp = Campaign(scenario=small_scenario(), sweep="none", trials=2)
         for bad in (0, -1):
@@ -746,9 +755,11 @@ class TestCli:
             assert "seed must be a whole number >= 0, got '-1'" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
 
-        # An --out that names a file, or lies under one, exits 2 before any work.
-        for name in ("run_single_shot", "run_campaign", "write_crb_csv"):
-            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran with a bad --out"))
+        # An --out that names a file, or lies under one, exits 2 before any
+        # trial or bound is computed; nothing is written.
+        calls = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "_bounds", lambda *args: calls.append(args))
         taken = tmp_path / "taken.txt"
         taken.write_text("")
         for verb in ("single-shot", "campaign", "crb"):
@@ -758,6 +769,26 @@ class TestCli:
         path.write_text(path.read_text().replace("trials: 50}", f"trials: 1, out_dir: {taken}}}"))
         assert cli_main(["campaign", str(path)]) == 2
         assert f"error: out_dir {taken} is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert taken.read_text() == ""
+
+    def test_seed_option_matches_seed_in_file(self, tmp_path):
+        # --seed N writes the bytes that the same file with `seed: N` writes
+        text = (
+            "seed: 3\nsnapshots: 100\n"
+            "sources:\n  - {angle_deg: 10.0, range: 40.0}\n"
+            "campaign: {sweep: snr_db, values: [0.0, 10.0], trials: 2}\n"
+        )
+        (tmp_path / "seed3.yaml").write_text(text)
+        (tmp_path / "seed7.yaml").write_text(text.replace("seed: 3", "seed: 7"))
+        for verb in ("single-shot", "campaign", "crb"):
+            runs = {}
+            for name, extra in (("seed3", ["--seed", "7"]), ("seed7", [])):
+                out = tmp_path / verb / name
+                file = str(tmp_path / f"{name}.yaml")
+                assert cli_main([verb, file, "--out", str(out), *extra]) == 0
+                runs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            assert runs["seed3"] and runs["seed3"] == runs["seed7"], verb
 
     def test_crb_verb(self, tmp_path):
         rc = cli_main(
@@ -857,6 +888,7 @@ class TestCli:
                 "estimator: flat_spectrum_ratio must be finite, got nan",
             "label: [a, b]": "label must be text, got ['a', 'b']",
             "campaign: {out_dir: {a: 1}}": "campaign: out_dir must be text, got {'a': 1}",
+            'campaign: {out_dir: ""}': "campaign: out_dir must name a directory, got ''",
         }
         cases += [
             (f"{base}\n{line}\n", "campaign" if "campaign" in line else "single-shot", [key])
