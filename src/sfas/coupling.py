@@ -39,7 +39,9 @@ class CouplingModel:
         Coupling magnitude c0 at zero separation, in [0, 1) so the coupling
         matrix stays diagonally dominated.
     decay:
-        Exponential decay rate per wavelength of separation (> 0 decays).
+        Exponential decay rate per wavelength of separation, finite and
+        >= 0 (> 0 decays; a negative rate would grow the coupling with
+        separation).
     phase_offset:
         Constant phase added to every coefficient, radians.
     band:
@@ -62,6 +64,8 @@ class CouplingModel:
         rules = [
             (0.0 <= self.reference_strength < 1.0,
              f"0 <= reference_strength < 1 (got {self.reference_strength})"),
+            (0.0 <= self.decay < np.inf,
+             f"decay finite and >= 0 (got {self.decay})"),
             (self.band >= 0, f"band >= 0 (got {self.band})"),
         ]
         broken = [rule for ok, rule in rules if not ok]

@@ -214,7 +214,12 @@ def _noise_quadratic(noise_basis: np.ndarray):
 
     def cost(manifold: np.ndarray) -> np.ndarray:
         proj = adjoint @ manifold
-        return np.einsum("ij,ij->j", proj.conj(), proj).real
+        squares = proj.real**2 + proj.imag**2
+        # Rows are added in order, as einsum("ij,ij->j") adds them; numpy's
+        # `sum` would add a lone column pairwise, in other bytes.
+        if squares.shape[1] == 1:
+            return np.add.accumulate(squares)[-1]
+        return squares.sum(axis=0)
 
     return cost
 

@@ -798,15 +798,18 @@ def run_campaign(
     Every (sweep cell, trial) of the campaign is scheduled on one bounded
     thread pool of at most `threads` workers, with OpenBLAS held at one
     thread meanwhile (see `_blas`), so the pool is the only parallelism.
-    Results are reduced in (cell, trial) order, so the outputs depend
-    neither on `threads` nor on the host's BLAS thread count.  Per-trial
-    estimator failures are counted and excluded, never fatal.
+    Jobs are scheduled trial-major, so the cells of one trial run back to
+    back and the cells of an SNR sweep share that trial's random draws
+    (see `simulate._signal_draws`).  Results are reduced in (cell, trial)
+    order, so the outputs depend neither on `threads` nor on the host's
+    BLAS thread count.  Per-trial estimator failures are counted and
+    excluded, never fatal.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = _output_directory(out_dir)
     cells = [campaign.scenario_at(value) for value in campaign.values]
-    jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
+    jobs = [(scenario, trial) for trial in range(campaign.trials) for scenario in cells]
 
     def trial_fn(job: tuple[Scenario, int]) -> dict[str, list[tuple] | None]:
         scenario, trial = job
@@ -827,7 +830,7 @@ def run_campaign(
     rmse_rows: list[list[str]] = []
     dump_rows: list[list[str]] = []
     for i, (value, scenario, (crb1, crb2)) in enumerate(zip(campaign.values, cells, bounds)):
-        cell = outcomes[i * campaign.trials : (i + 1) * campaign.trials]
+        cell = outcomes[i :: len(cells)]
         for name in campaign.estimators:
             record, rows = _aggregate(
                 value, name, [o[name] for o in cell], scenario, crb1, crb2

@@ -8,7 +8,8 @@ coupling applied in the compressed configuration and optionally in the
 extended one.  Every random draw comes from a named stream keyed by
 (seed, trial, stage, role[, source]), so adding sources, snapshots or
 stages never perturbs the draws of the others and trials can run in any
-order on any number of workers.
+order on any number of workers.  The draws do not depend on the SNR, so
+the cells of an SNR sweep share them through a small memo.
 """
 
 from __future__ import annotations
@@ -171,32 +172,55 @@ def _stream(seed: int, trial: int, stage: str, role: int, sub: int = 0) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
+# Blocks whose draws the memos below keep: the stages of two trials.  A
+# campaign runs the sweep cells of a trial back to back (see
+# `harness.run_campaign`), so a pool no wider than the sweep works on one
+# or two trials at a time.  A miss only draws the same bytes again.
+_MEMO_BLOCKS = 2 * len(_STAGE_CODES)
+
+
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _signal_draws(
+    seed: int, trial: int, stage: str, snapshots: int, powers: tuple[float, ...]
+) -> np.ndarray:
+    """The read-only K x N signal matrix of one block.  It does not depend
+    on the SNR, so the cells of an SNR sweep share it."""
+    rows = []
+    for k, power in enumerate(powers):
+        pairs = _stream(seed, trial, stage, _ROLE_SIGNAL, k).standard_normal((snapshots, 2))
+        rows.append(np.sqrt(power / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1]))
+    signal = np.asarray(rows) if rows else np.zeros((0, snapshots), dtype=complex)
+    signal.flags.writeable = False
+    return signal
+
+
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _noise_draws(seed: int, trial: int, stage: str, snapshots: int, m: int) -> np.ndarray:
+    """The read-only (N, M, 2) unit-variance (re, im) noise pairs of one
+    block, shared by the cells of an SNR sweep like `_signal_draws`."""
+    pairs = _stream(seed, trial, stage, _ROLE_NOISE).standard_normal((snapshots, m, 2))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _signal_matrix(scenario: Scenario, trial: int, stage: str) -> np.ndarray:
     """K x N effective signals: unit-variance circular Gaussian rows scaled by sqrt(power).
 
     Each source draws from its own stream, snapshot-major, so the first N
-    snapshots are identical across runs that only differ in N or K.
+    snapshots are identical across runs that only differ in N or K.  The
+    matrix is read-only: it may be shared with other cells of a sweep.
     """
-    n = scenario.snapshots
-    rows = []
-    for k, src in enumerate(scenario.sources):
-        pairs = _stream(scenario.seed, trial, stage, _ROLE_SIGNAL, k).standard_normal((n, 2))
-        rows.append(np.sqrt(src.power / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1]))
-    if not rows:
-        return np.zeros((0, n), dtype=complex)
-    return np.asarray(rows)
+    powers = tuple(src.power for src in scenario.sources)
+    return _signal_draws(scenario.seed, trial, stage, scenario.snapshots, powers)
 
 
 def _noise_matrix(scenario: Scenario, trial: int, stage: str, m: int) -> np.ndarray:
     var = scenario.noise_variance
     if var == 0.0:
         return np.zeros((m, scenario.snapshots), dtype=complex)
-    pairs = _stream(scenario.seed, trial, stage, _ROLE_NOISE).standard_normal(
-        (scenario.snapshots, m, 2)
-    )
-    pairs *= np.sqrt(var / 2.0)
+    pairs = _noise_draws(scenario.seed, trial, stage, scenario.snapshots, m)
     # Each (re, im) pair of the last axis is one complex sample.
-    return pairs.view(complex)[:, :, 0].T
+    return (pairs * np.sqrt(var / 2.0)).view(complex)[:, :, 0].T
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,7 +245,7 @@ def _synthesize(
 ) -> SnapshotBlock:
     channel = _channel_matrix(scenario.sources, config, model)
     data = channel @ _signal_matrix(scenario, trial, stage)
-    data = data + _noise_matrix(scenario, trial, stage, config.element_count)
+    data += _noise_matrix(scenario, trial, stage, config.element_count)
     return SnapshotBlock(data, scenario.noise_variance, config)
 
 

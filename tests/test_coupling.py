@@ -33,6 +33,12 @@ class TestCouplingCoefficient:
         with pytest.raises(ValueError):
             coupling_coefficient(8, ArrayConfig(8), CouplingModel(band=7))
 
+    def test_decay_must_be_finite_and_non_negative(self):
+        for decay in (-1e-9, -10000.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="decay finite and >= 0"):
+                CouplingModel(decay=decay)
+        assert coupling_coefficient(2, ArrayConfig(8), CouplingModel(decay=0.0)) != 0.0
+
     def test_zero_beyond_band(self):
         cfg = ArrayConfig(8, 0.5, 0.2)
         model = CouplingModel(band=2)

@@ -731,6 +731,26 @@ class TestSpectrumSanity:
         with pytest.raises(ValueError, match="finite"):
             SpectrumGrid((np.array([0.0, 1.0]),), ("x",), np.array([1.0, np.inf]))
 
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        rank=st.integers(1, 30),
+        n=st.integers(1, 3) | st.integers(1, 2000),
+        exponent=st.floats(-8.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noise_quadratic_is_einsum_bytes(self, m, rank, n, exponent, seed):
+        """The MUSIC denominator is the einsum of the projection with its
+        conjugate, byte for byte, for any number of columns."""
+        rng = np.random.default_rng(seed)
+        shape = (m, n)
+        basis_shape = (m, min(rank, m))
+        basis = rng.standard_normal(basis_shape) + 1j * rng.standard_normal(basis_shape)
+        manifold = 10.0**exponent * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        proj = basis.conj().T @ manifold
+        oracle = np.einsum("ij,ij->j", proj.conj(), proj).real
+        assert estimators._noise_quadratic(basis)(manifold).tobytes() == oracle.tobytes()
+
 
 class TestColumnCache:
     """Steering columns served from the cache are the bytes computed afresh."""

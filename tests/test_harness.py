@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from conftest import clear_steering_caches
-from sfas import estimators, harness
+from sfas import estimators, harness, simulate
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
 from sfas.coupling import CouplingModel
@@ -162,7 +162,7 @@ class TestScenarioFiles:
         couplings = st.builds(
             CouplingModel,
             reference_strength=st.floats(0.0, 1.0, exclude_max=True),
-            decay=st.floats(-10.0, 10.0),
+            decay=st.floats(0.0, 10.0),
             phase_offset=st.floats(-10.0, 10.0),
             band=st.integers(0, 10),
             symmetric=st.booleans(),
@@ -634,6 +634,39 @@ class TestCampaign:
             outputs(threads)
         assert all(run == runs[0] for run in runs)
 
+    def test_snr_cells_of_a_trial_share_its_draws(self):
+        """Trial-major scheduling: at one thread an S-cell SNR sweep draws
+        each (trial, stage) once, not S times; a snapshot sweep shares
+        nothing, since a block's draws depend on its snapshot count."""
+        scen = small_scenario(snapshots=40)
+        estimators_ = ("two_stage", "baseline_ff_music")  # three stages a trial
+        snr = Campaign(scenario=scen, sweep="snr_db", values=(0.0, 10.0, 20.0, math.inf),
+                       trials=5, estimators=estimators_)
+        snapshots = Campaign(scenario=scen, sweep="snapshots", values=(30, 40, 50),
+                             trials=3, estimators=estimators_)
+        # (campaign, misses of each memo, signal hits, noise hits); the
+        # noiseless cell draws no noise.
+        expected = ((snr, 5 * 3, 5 * 3 * 3, 5 * 3 * 2), (snapshots, 3 * 3 * 3, 0, 0))
+        for camp, misses, *hits in expected:
+            clear_steering_caches()
+            run_campaign(camp, threads=1)
+            for memo, memo_hits in zip((simulate._signal_draws, simulate._noise_draws), hits):
+                info = memo.cache_info()
+                assert (info.misses, info.hits) == (misses, memo_hits), (camp.sweep, info)
+
+    def test_cells_reduce_as_single_cell_sweeps(self, tmp_path):
+        """The trial-major schedule leaves each cell's rows those of a sweep
+        over that cell alone, in trial order."""
+        camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
+        run_campaign(camp, out_dir=tmp_path / "all", threads=2)
+        rows = read_csv(tmp_path / "all" / "trial_errors.csv")
+        for value in camp.values:
+            out = tmp_path / f"only{value}"
+            run_campaign(replace(camp, values=(value,)), out_dir=out)
+            assert [r for r in rows if float(r["sweep_value"]) == value] == read_csv(
+                out / "trial_errors.csv"
+            )
+
     def test_bad_out_dir_raises_before_any_trial(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args))
@@ -856,6 +889,11 @@ class TestCli:
             (base.replace("reference_strength: 0.3", "reference_strength: 1.5")
              .replace("band: 2\n", "band: -1\n"),
              "single-shot", ["reference_strength < 1", "band >= 0"]),
+            (base.replace("decay: 1.0", "decay: -10000"),
+             "single-shot", ["coupling: model must satisfy decay finite and >= 0"]),
+            (coupled.replace("decay: 1.0\n  phase_offset: 0.0\n  band: 2\n  symmetric: true",
+                             "decay: -1000\n  phase_offset: 0.0\n  band: 2\n  symmetric: true"),
+             "campaign", ["extended_coupling: model must satisfy decay finite and >= 0"]),
         ]
         # Sections of the wrong shape and values of the wrong kind: one
         # problem naming the section and key, never a traceback or a

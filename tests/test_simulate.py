@@ -192,7 +192,8 @@ class TestGeneration:
 
 
 class TestSynthesisFastPaths:
-    """The noise view and the channel cache against what they replace."""
+    """The noise view, the draw memos and the channel cache against what
+    they replace."""
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(
@@ -244,6 +245,68 @@ class TestSynthesisFastPaths:
         assert blocks() == cold
         simulate._channel_matrix.cache_clear()
         assert blocks() == cold
+
+    @hyp_settings(max_examples=30, deadline=None)
+    @given(
+        snrs=st.lists(st.floats(-30.0, 50.0) | st.just(float("inf")), min_size=1, max_size=6),
+        trial=st.integers(0, 1000),
+        stage=st.sampled_from(("compressed", "extended", "baseline")),
+        coupled=st.booleans(),
+    )
+    def test_sweep_cells_share_draws_with_unchanged_bytes(self, snrs, trial, stage, coupled):
+        """The SNR cells of one (trial, stage) draw once: blocks built from
+        a warm draw memo, in any order of SNRs, are the cold blocks."""
+        scen = Scenario(
+            sources=(SourceTruth.from_degrees(-20.0, 30.0, 0.5),
+                     SourceTruth.from_degrees(15.0, 900.0, 2.0)),
+            coupling_extended=CouplingModel(0.3, 1.0, 0.0, band=2, symmetric=True)
+            if coupled else None,
+            snapshots=40,
+            seed=trial + 7,
+        )
+        generate = {
+            "compressed": generate_snapshots_compressed,
+            "extended": lambda s, t: generate_snapshots_extended(s, coupled, t),
+            "baseline": generate_snapshots_baseline,
+        }[stage]
+        memos = (simulate._signal_draws, simulate._noise_draws)
+
+        def block(snr):
+            return generate(scen.with_snr(snr), trial).data.tobytes()
+
+        cold = []
+        for snr in snrs:
+            for memo in memos:
+                memo.cache_clear()
+            cold.append(block(snr))
+        for memo in memos:
+            memo.cache_clear()
+        assert [block(snr) for snr in snrs] == cold
+        noisy = any(snr != float("inf") for snr in snrs)
+        assert simulate._signal_draws.cache_info().misses == 1
+        assert simulate._noise_draws.cache_info().misses == int(noisy)
+
+        signal = simulate._signal_matrix(scen, trial, stage)
+        memo_arrays = [signal]
+        if noisy:
+            memo_arrays.append(
+                simulate._noise_draws(scen.seed, trial, stage, scen.snapshots, 32)
+            )
+        for array in memo_arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_noiseless_block_adds_zero_noise(self, monkeypatch):
+        """A noiseless block is `channel @ signal` plus an all-zero matrix, so
+        a -0.0 of the product reads +0.0 in the block."""
+
+        class NegativeZeroChannel:
+            def __matmul__(self, signal):
+                return np.full((32, signal.shape[1]), complex(-0.0, -0.0))
+
+        monkeypatch.setattr(simulate, "_channel_matrix", lambda *args: NegativeZeroChannel())
+        data = generate_snapshots_compressed(single_source_scenario(snapshots=8)).data
+        assert data.tobytes() == np.zeros((32, 8), complex).tobytes()
 
     def test_cached_channel_is_read_only(self, mixed_scenario):
         cfg = mixed_scenario.config_compressed

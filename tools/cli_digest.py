@@ -16,6 +16,17 @@ command::
 which runs both checkouts and prints the paths whose hashes differ (or
 that only one of them writes); it exits 1 if any differ and 0 if none do.
 
+The hashes of this checkout are pinned in ``tools/cli_digest.sha256``,
+whose first line names the numpy and BLAS build they were taken on::
+
+    python tools/cli_digest.py --check   # compare a fresh run with the pin
+    python tools/cli_digest.py --pin     # rewrite the pin from a fresh run
+
+``--check`` prints the paths that differ and exits 1 if any do.  The
+last bits of the outputs depend on the numpy and BLAS build, so on
+another build a difference may come from the build, not the code; the
+message names both builds.
+
 The optional argument is the root of the checkout to run (default: the
 one holding this script); its ``src/`` and ``scenarios/`` are used.
 """
@@ -25,10 +36,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+PIN = Path(__file__).resolve().with_suffix(".sha256")
 
 VERBS = {
     "single-shot": ["--out", "{out}"],
@@ -64,28 +78,55 @@ def digest(root: Path) -> dict[str, str]:
         }
 
 
+def build() -> str:
+    """The numpy and BLAS build this interpreter runs, in one line."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+        f"python {platform.python_version()}, {platform.machine()}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "root", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
         help="checkout to run (default: this one)",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--against", type=Path, default=None,
         help="another checkout: print the paths whose hashes differ; exit 1 if any do",
     )
+    mode.add_argument(
+        "--check", action="store_true",
+        help=f"compare with the hashes pinned in {PIN.name}; exit 1 if any differ",
+    )
+    mode.add_argument("--pin", action="store_true", help=f"rewrite {PIN.name}")
     args = parser.parse_args(argv)
     hashes = digest(args.root.resolve())
-    if args.against is None:
-        print("\n".join(f"{h}  {path}" for path, h in hashes.items()))
-        print(f"{len(hashes)} files")
+    listing = "".join(f"{h}  {path}\n" for path, h in hashes.items())
+    if args.pin:
+        PIN.write_text(f"# pinned on {build()}\n{listing}")
+        print(f"{len(hashes)} files pinned in {PIN.name}")
         return 0
-    other = digest(args.against.resolve())
+    if args.check:
+        header, *lines = PIN.read_text().splitlines()
+        other = {path: h for h, path in (line.split("  ", 1) for line in lines)}
+    elif args.against is not None:
+        other = digest(args.against.resolve())
+    else:
+        print(f"{listing}{len(hashes)} files")
+        return 0
     paths = sorted(hashes.keys() | other.keys())
     differ = [path for path in paths if hashes.get(path) != other.get(path)]
     for path in differ:
         print(path)
     print(f"{len(differ)} of {len(paths)} files differ")
+    if args.check and differ:
+        print(f"{PIN.name} was {header.removeprefix('# ')}; this run: {build()}")
     return 1 if differ else 0
 
 
