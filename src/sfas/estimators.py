@@ -67,6 +67,11 @@ class UnderResolutionError(RuntimeError):
         )
 
 
+# The most points a search axis may hold (stage-1 angles, ranges, both axes
+# of both passes): at M = 32 a 10^6-angle stage-1 manifold takes 0.51 GB.
+_MAX_AXIS_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class EstimatorSettings:
     """Grids, windows and peak policy for the two-stage search.
@@ -110,6 +115,10 @@ class EstimatorSettings:
              f"-90 <= angle_min_deg < angle_max_deg <= 90 "
              f"(got {self.angle_min_deg}, {self.angle_max_deg})"),
         ]
+        sizes = {"range_points": self.range_points}  # points per search axis
+        if self.angle_step_deg > 0.0:
+            width = self.angle_max_deg - self.angle_min_deg
+            sizes["angle_step_deg"] = width / self.angle_step_deg + 1.0
         for step, k, span in (
             ("pass1_angle_step_deg", 1.0, "window_angle_deg"),
             ("pass1_range_fraction", 1.0, "window_range_fraction"),
@@ -119,6 +128,13 @@ class EstimatorSettings:
             value, bound = getattr(self, step), getattr(self, span)
             within = span if k == 1.0 else f"{k} * {span}"
             rules.append((value <= k * bound, f"{step} <= {within} (got {value}, {bound})"))
+            if value > 0.0:  # a `_window_grid` of half-width k * bound
+                sizes[step] = 2.0 * round(k * bound / value, 0) + 1.0
+        rules += [
+            (size <= _MAX_AXIS_POINTS,
+             f"{name} gives at most {_MAX_AXIS_POINTS} points on its axis (got {size:.7g})")
+            for name, size in sizes.items()
+        ]
         broken = [rule for ok, rule in rules if not ok]
         if broken:
             raise ValueError("settings must satisfy " + "; ".join(broken))

@@ -800,7 +800,7 @@ def run_campaign(
     thread meanwhile (see `_blas`), so the pool is the only parallelism.
     Jobs are scheduled trial-major, so the cells of one trial run back to
     back and the cells of an SNR sweep share that trial's random draws
-    (see `simulate._signal_draws`).  Results are reduced in (cell, trial)
+    (see `simulate._draws`).  Results are reduced in (cell, trial)
     order, so the outputs depend neither on `threads` nor on the host's
     BLAS thread count.  Per-trial estimator failures are counted and
     excluded, never fatal.

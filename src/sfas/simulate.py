@@ -172,7 +172,7 @@ def _stream(seed: int, trial: int, stage: str, role: int, sub: int = 0) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-# Blocks whose draws the memos below keep: the stages of two trials.  A
+# Blocks whose draws the memo below keeps: the stages of two trials.  A
 # campaign runs the sweep cells of a trial back to back (see
 # `harness.run_campaign`), so a pool no wider than the sweep works on one
 # or two trials at a time.  A miss only draws the same bytes again.
@@ -180,47 +180,23 @@ _MEMO_BLOCKS = 2 * len(_STAGE_CODES)
 
 
 @functools.lru_cache(maxsize=_MEMO_BLOCKS)
-def _signal_draws(
-    seed: int, trial: int, stage: str, snapshots: int, powers: tuple[float, ...]
-) -> np.ndarray:
-    """The read-only K x N signal matrix of one block.  It does not depend
-    on the SNR, so the cells of an SNR sweep share it."""
+def _draws(
+    seed: int, trial: int, stage: str, snapshots: int, powers: tuple[float, ...], m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's read-only draws, shared by the cells of an SNR sweep: the
+    K x N signal (each source's sqrt(power)-scaled circular Gaussian row from
+    its own stream, snapshot-major, so the first N snapshots do not depend on
+    N or K) and the (N, m, 2) unit (re, im) noise pairs; m = 0 draws none."""
     rows = []
     for k, power in enumerate(powers):
         pairs = _stream(seed, trial, stage, _ROLE_SIGNAL, k).standard_normal((snapshots, 2))
         rows.append(np.sqrt(power / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1]))
     signal = np.asarray(rows) if rows else np.zeros((0, snapshots), dtype=complex)
-    signal.flags.writeable = False
-    return signal
-
-
-@functools.lru_cache(maxsize=_MEMO_BLOCKS)
-def _noise_draws(seed: int, trial: int, stage: str, snapshots: int, m: int) -> np.ndarray:
-    """The read-only (N, M, 2) unit-variance (re, im) noise pairs of one
-    block, shared by the cells of an SNR sweep like `_signal_draws`."""
-    pairs = _stream(seed, trial, stage, _ROLE_NOISE).standard_normal((snapshots, m, 2))
-    pairs.flags.writeable = False
-    return pairs
-
-
-def _signal_matrix(scenario: Scenario, trial: int, stage: str) -> np.ndarray:
-    """K x N effective signals: unit-variance circular Gaussian rows scaled by sqrt(power).
-
-    Each source draws from its own stream, snapshot-major, so the first N
-    snapshots are identical across runs that only differ in N or K.  The
-    matrix is read-only: it may be shared with other cells of a sweep.
-    """
-    powers = tuple(src.power for src in scenario.sources)
-    return _signal_draws(scenario.seed, trial, stage, scenario.snapshots, powers)
-
-
-def _noise_matrix(scenario: Scenario, trial: int, stage: str, m: int) -> np.ndarray:
-    var = scenario.noise_variance
-    if var == 0.0:
-        return np.zeros((m, scenario.snapshots), dtype=complex)
-    pairs = _noise_draws(scenario.seed, trial, stage, scenario.snapshots, m)
-    # Each (re, im) pair of the last axis is one complex sample.
-    return (pairs * np.sqrt(var / 2.0)).view(complex)[:, :, 0].T
+    noise = np.zeros((snapshots, 0, 2))
+    if m:
+        noise = _stream(seed, trial, stage, _ROLE_NOISE).standard_normal((snapshots, m, 2))
+    signal.flags.writeable = noise.flags.writeable = False
+    return signal, noise
 
 
 @functools.lru_cache(maxsize=32)
@@ -243,10 +219,15 @@ def _channel_matrix(
 def _synthesize(
     scenario: Scenario, trial: int, stage: str, config: ArrayConfig, model: CouplingModel | None
 ) -> SnapshotBlock:
-    channel = _channel_matrix(scenario.sources, config, model)
-    data = channel @ _signal_matrix(scenario, trial, stage)
-    data += _noise_matrix(scenario, trial, stage, config.element_count)
-    return SnapshotBlock(data, scenario.noise_variance, config)
+    var = scenario.noise_variance
+    m = config.element_count if var else 0
+    powers = tuple(src.power for src in scenario.sources)
+    signal, noise = _draws(scenario.seed, trial, stage, scenario.snapshots, powers, m)
+    data = _channel_matrix(scenario.sources, config, model) @ signal
+    # Each (re, im) pair of the last axis is one complex sample.  A noiseless
+    # block adds zeros, so a -0.0 of the product reads +0.0.
+    data += (noise * np.sqrt(var / 2.0)).view(complex)[:, :, 0].T if m else 0.0
+    return SnapshotBlock(data, var, config)
 
 
 def generate_snapshots_compressed(scenario: Scenario, trial: int = 0) -> SnapshotBlock:
@@ -327,8 +308,8 @@ def load_snapshot_block(path) -> SnapshotBlock:
         raise ValueError(f"{path} is not a snapshot block file")
     if code not in _DTYPES:
         raise ValueError(f"{path}: unknown dtype code {code}")
-    if m < 2:
-        raise ValueError(f"{path}: M={m} elements, need at least 2")
+    if m < 2 or n < 1:
+        raise ValueError(f"{path}: M={m} elements and N={n} snapshots, need M >= 2 and N >= 1")
     if not np.all(np.isfinite([scale, d0])) or min(scale, d0) <= 0.0:
         raise ValueError(
             f"{path}: scale {scale} and baseline spacing {d0} must be finite and > 0"
@@ -340,4 +321,6 @@ def load_snapshot_block(path) -> SnapshotBlock:
     if len(payload) != m * n * dtype.itemsize:
         raise ValueError(f"{path}: {len(payload)} payload bytes do not hold {m}x{n} {dtype}")
     data = np.frombuffer(payload, dtype=dtype).reshape(m, n).astype(np.complex128)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: the payload holds a non-finite sample")
     return SnapshotBlock(data, variance, ArrayConfig(m, d0, scale))

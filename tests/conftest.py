@@ -6,12 +6,11 @@ from sfas import CouplingModel, Scenario, SourceTruth, estimators, simulate
 
 def clear_steering_caches():
     """Empty the exact-geometry column stores, the far-field manifold memo,
-    the channel memo and the draw memos, so the next run starts cold."""
+    the channel memo and the draw memo, so the next run starts cold."""
     estimators._lattice_columns.cache_clear()
     estimators._far_field_manifold.cache_clear()
     simulate._channel_matrix.cache_clear()
-    simulate._signal_draws.cache_clear()
-    simulate._noise_draws.cache_clear()
+    simulate._draws.cache_clear()
 
 
 def mixed_field_sources():

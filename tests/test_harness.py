@@ -134,19 +134,25 @@ class TestScenarioFiles:
     def test_random_settings_round_trip(self, data):
         """Any valid settings and coupling survive dump -> load unchanged,
         with int, None and bool fields keeping their types."""
+
+        def step(span):
+            # within the span it steps across, at most about 10^5 steps of it
+            return data.draw(st.floats(span / 1e5, span, exclude_min=True))
+
         angle_min = data.draw(st.floats(-90.0, 89.0))
+        angle_max = data.draw(st.floats(angle_min, 90.0, exclude_min=True))
         range_min = data.draw(st.floats(0.0, 1e5, exclude_min=True))
-        positive = st.floats(0.0, 10.0, exclude_min=True)
-        window_angle = data.draw(positive)
+        window_angle = data.draw(st.floats(0.0, 10.0, exclude_min=True))
         window_range = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        # each pass step within the span it steps across
-        pass1_angle = data.draw(st.floats(0.0, window_angle, exclude_min=True))
-        pass1_range = data.draw(st.floats(0.0, window_range, exclude_min=True))
+        pass1_angle = step(window_angle)
+        pass1_range = step(window_range)
         settings = EstimatorSettings(
             trim=data.draw(st.none() | st.integers(0, 10)),
             angle_min_deg=angle_min,
-            angle_max_deg=data.draw(st.floats(angle_min, 90.0, exclude_min=True)),
-            angle_step_deg=data.draw(positive),
+            angle_max_deg=angle_max,
+            angle_step_deg=data.draw(
+                st.floats((angle_max - angle_min) / 1e5, 10.0, exclude_min=True)
+            ),
             range_min=range_min,
             range_max=data.draw(st.floats(range_min, 1e7, exclude_min=True)),
             range_points=data.draw(st.integers(2, 5000)),
@@ -154,8 +160,8 @@ class TestScenarioFiles:
             window_range_fraction=window_range,
             pass1_angle_step_deg=pass1_angle,
             pass1_range_fraction=pass1_range,
-            pass2_angle_step_deg=data.draw(st.floats(0.0, 1.5 * pass1_angle, exclude_min=True)),
-            pass2_range_fraction=data.draw(st.floats(0.0, 1.5 * pass1_range, exclude_min=True)),
+            pass2_angle_step_deg=step(1.5 * pass1_angle),
+            pass2_range_fraction=step(1.5 * pass1_range),
             min_peak_separation_deg=data.draw(st.floats(-10.0, 10.0)),
             flat_spectrum_ratio=data.draw(st.floats(-10.0, 10.0)),
         )
@@ -644,15 +650,14 @@ class TestCampaign:
                        trials=5, estimators=estimators_)
         snapshots = Campaign(scenario=scen, sweep="snapshots", values=(30, 40, 50),
                              trials=3, estimators=estimators_)
-        # (campaign, misses of each memo, signal hits, noise hits); the
-        # noiseless cell draws no noise.
-        expected = ((snr, 5 * 3, 5 * 3 * 3, 5 * 3 * 2), (snapshots, 3 * 3 * 3, 0, 0))
-        for camp, misses, *hits in expected:
+        # (campaign, memo misses, memo hits); the noiseless cell keys its
+        # draws apart (it draws no noise), so it draws each signal again.
+        expected = ((snr, 5 * 3 * 2, 5 * 3 * 2), (snapshots, 3 * 3 * 3, 0))
+        for camp, misses, hits in expected:
             clear_steering_caches()
             run_campaign(camp, threads=1)
-            for memo, memo_hits in zip((simulate._signal_draws, simulate._noise_draws), hits):
-                info = memo.cache_info()
-                assert (info.misses, info.hits) == (misses, memo_hits), (camp.sweep, info)
+            info = simulate._draws.cache_info()
+            assert (info.misses, info.hits) == (misses, hits), (camp.sweep, info)
 
     def test_cells_reduce_as_single_cell_sweeps(self, tmp_path):
         """The trial-major schedule leaves each cell's rows those of a sweep
@@ -869,6 +874,9 @@ class TestCli:
                 ["pass2_angle_step_deg <= 1.5 * pass1_angle_step_deg"],
             "pass2_range_fraction: 0.02":
                 ["pass2_range_fraction <= 1.5 * pass1_range_fraction"],
+            "angle_step_deg: 1.0e-300": ["angle_step_deg gives at most 1000000 points"],
+            "pass2_angle_step_deg: 1.0e-12":
+                ["pass2_angle_step_deg gives at most 1000000 points"],
         }
         for override, keys in cases.items():
             path.write_text(f"{base}\nestimator: {{{override}}}\n")

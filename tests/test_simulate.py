@@ -135,9 +135,9 @@ class TestDeterminism:
 
 
 def _signal_row(scenario, source_index, trial=0, stage="compressed"):
-    from sfas.simulate import _signal_matrix
-
-    return _signal_matrix(scenario, trial, stage)[source_index]
+    powers = tuple(src.power for src in scenario.sources)
+    signal, _ = simulate._draws(scenario.seed, trial, stage, scenario.snapshots, powers, 0)
+    return signal[source_index]
 
 
 class TestGeneration:
@@ -192,32 +192,37 @@ class TestGeneration:
 
 
 class TestSynthesisFastPaths:
-    """The noise view, the draw memos and the channel cache against what
+    """The noise view, the draw memo and the channel cache against what
     they replace."""
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 60),
-        m=st.integers(1, 12),
+        m=st.integers(2, 12),
         snr_db=st.one_of(st.floats(-40.0, 60.0), st.just(float("inf"))),
         seed=st.integers(0, 2**32 - 1),
         trial=st.integers(0, 9),
         stage=st.sampled_from(("compressed", "extended", "baseline")),
     )
     def test_noise_matrix_is_complex_sum_of_draws(self, n, m, snr_db, seed, trial, stage):
+        """The memo's noise pairs are the stream's draws, and a source-free
+        block is those pairs as complex samples scaled by sqrt(var / 2)."""
+        pairs = simulate._stream(seed, trial, stage, simulate._ROLE_NOISE).standard_normal(
+            (n, m, 2)
+        )
+        noise = simulate._draws(seed, trial, stage, n, (), m)[1]
+        assert noise.dtype == pairs.dtype and noise.shape == pairs.shape
+        assert noise.tobytes() == pairs.tobytes()
+
         scen = Scenario(sources=(), snapshots=n, snr_db=snr_db, seed=seed)
         var = scen.noise_variance
         if var == 0.0:
             oracle = np.zeros((m, n), dtype=complex)
         else:
-            pairs = simulate._stream(seed, trial, stage, simulate._ROLE_NOISE).standard_normal(
-                (n, m, 2)
-            )
             oracle = np.sqrt(var / 2.0) * (pairs[:, :, 0] + 1j * pairs[:, :, 1]).T
-        noise = simulate._noise_matrix(scen, trial, stage, m)
-        assert noise.dtype == oracle.dtype and noise.shape == oracle.shape
-        assert noise.flags["F_CONTIGUOUS"] == oracle.flags["F_CONTIGUOUS"]
-        assert noise.tobytes() == oracle.tobytes()
+        data = simulate._synthesize(scen, trial, stage, ArrayConfig(m), None).data
+        assert data.dtype == oracle.dtype and data.shape == oracle.shape
+        assert data.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_blocks_same_with_cold_and_warm_channel_cache(self, mixed_scenario, coupled):
@@ -254,8 +259,9 @@ class TestSynthesisFastPaths:
         coupled=st.booleans(),
     )
     def test_sweep_cells_share_draws_with_unchanged_bytes(self, snrs, trial, stage, coupled):
-        """The SNR cells of one (trial, stage) draw once: blocks built from
-        a warm draw memo, in any order of SNRs, are the cold blocks."""
+        """The finite SNR cells of one (trial, stage) draw once, and a
+        noiseless cell once more: blocks built from a warm draw memo, in
+        any order of SNRs, are the cold blocks."""
         scen = Scenario(
             sources=(SourceTruth.from_degrees(-20.0, 30.0, 0.5),
                      SourceTruth.from_degrees(15.0, 900.0, 2.0)),
@@ -269,36 +275,29 @@ class TestSynthesisFastPaths:
             "extended": lambda s, t: generate_snapshots_extended(s, coupled, t),
             "baseline": generate_snapshots_baseline,
         }[stage]
-        memos = (simulate._signal_draws, simulate._noise_draws)
 
         def block(snr):
             return generate(scen.with_snr(snr), trial).data.tobytes()
 
         cold = []
         for snr in snrs:
-            for memo in memos:
-                memo.cache_clear()
+            simulate._draws.cache_clear()
             cold.append(block(snr))
-        for memo in memos:
-            memo.cache_clear()
+        simulate._draws.cache_clear()
         assert [block(snr) for snr in snrs] == cold
-        noisy = any(snr != float("inf") for snr in snrs)
-        assert simulate._signal_draws.cache_info().misses == 1
-        assert simulate._noise_draws.cache_info().misses == int(noisy)
+        # One miss for the finite SNRs, one for the noiseless cell (m = 0).
+        element_counts = {32 if snr != float("inf") else 0 for snr in snrs}
+        assert simulate._draws.cache_info().misses == len(element_counts)
 
-        signal = simulate._signal_matrix(scen, trial, stage)
-        memo_arrays = [signal]
-        if noisy:
-            memo_arrays.append(
-                simulate._noise_draws(scen.seed, trial, stage, scen.snapshots, 32)
-            )
-        for array in memo_arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
+        powers = tuple(src.power for src in scen.sources)
+        for m in element_counts:
+            for array in simulate._draws(scen.seed, trial, stage, scen.snapshots, powers, m):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
 
     def test_noiseless_block_adds_zero_noise(self, monkeypatch):
-        """A noiseless block is `channel @ signal` plus an all-zero matrix, so
-        a -0.0 of the product reads +0.0 in the block."""
+        """A noiseless block is `channel @ signal` plus zeros, so a -0.0 of
+        the product reads +0.0 in the block."""
 
         class NegativeZeroChannel:
             def __matmul__(self, signal):
@@ -418,7 +417,7 @@ class TestBinaryInterchange:
     @hyp_settings(max_examples=40, deadline=None)
     @given(
         m=st.integers(2, 8),
-        n=st.integers(0, 12),
+        n=st.integers(1, 12),
         dtype=st.sampled_from((np.complex64, np.complex128)),
         variance=st.floats(0.0, 1e6),
         scale=st.floats(0.01, 10.0),
@@ -458,6 +457,8 @@ class TestBinaryInterchange:
             "short header": good[: header - 1],
             "unknown dtype code": good[:8] + bytes([7]) + good[9:],
             "one element": with_header(m=1, n=6),
+            "no snapshots": with_header(n=0)[:header],
+            "nan sample": good[:header] + struct.pack("<d", float("nan")) + good[header + 8 :],
             "zero scale": with_header(scale=0.0),
             "negative scale": with_header(scale=-2.0),
             "nan scale": with_header(scale=float("nan")),
@@ -474,3 +475,23 @@ class TestBinaryInterchange:
                 load_snapshot_block(path)
         path.write_bytes(with_header())
         assert load_snapshot_block(path).config == ArrayConfig(2)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.integers(0, 8 * simulate._HEADER.size - 1), min_size=1, max_size=4))
+    def test_flipped_header_bits_load_or_are_diagnosed(self, tmp_path_factory, bits):
+        """A block whose header has bits flipped loads, with at least one
+        snapshot and finite samples, or raises a ValueError naming the
+        file; never another exception."""
+        path = tmp_path_factory.mktemp("flipped") / "flipped.bin"
+        block = SnapshotBlock(np.ones((2, 3), dtype=complex), 0.5, ArrayConfig(2))
+        save_snapshot_block(block, path)
+        raw = bytearray(path.read_bytes())
+        for bit in bits:
+            raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            loaded = load_snapshot_block(path)
+        except ValueError as exc:
+            assert "flipped.bin" in str(exc)
+        else:
+            assert loaded.snapshot_count >= 1 and np.all(np.isfinite(loaded.data))

@@ -66,16 +66,28 @@ def run_all(root: Path, work: Path) -> None:
             (work / f"{out}.stdout").write_text(f"{proc.stdout}exit {proc.returncode}\n")
 
 
+def hashes(work: Path) -> dict[str, str]:
+    """sha256 of every file under `work`, by path relative to it."""
+    return {
+        p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(work.rglob("*"))
+        if p.is_file()
+    }
+
+
 def digest(root: Path) -> dict[str, str]:
     """sha256 of every output of `root`'s CLI, by path."""
     with tempfile.TemporaryDirectory(prefix="sfas-digest-") as tmp:
-        work = Path(tmp)
-        run_all(root, work)
-        return {
-            p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(work.rglob("*"))
-            if p.is_file()
-        }
+        run_all(root, Path(tmp))
+        return hashes(Path(tmp))
+
+
+def pinned() -> tuple[str, dict[str, str]]:
+    """The build the pin was taken on, and its hashes by path."""
+    header, *lines = PIN.read_text().splitlines()
+    return header.removeprefix("# pinned on "), {
+        path: h for h, path in (line.split("  ", 1) for line in lines)
+    }
 
 
 def build() -> str:
@@ -106,27 +118,26 @@ def main(argv=None) -> int:
     )
     mode.add_argument("--pin", action="store_true", help=f"rewrite {PIN.name}")
     args = parser.parse_args(argv)
-    hashes = digest(args.root.resolve())
-    listing = "".join(f"{h}  {path}\n" for path, h in hashes.items())
+    found = digest(args.root.resolve())
+    listing = "".join(f"{h}  {path}\n" for path, h in found.items())
     if args.pin:
         PIN.write_text(f"# pinned on {build()}\n{listing}")
-        print(f"{len(hashes)} files pinned in {PIN.name}")
+        print(f"{len(found)} files pinned in {PIN.name}")
         return 0
     if args.check:
-        header, *lines = PIN.read_text().splitlines()
-        other = {path: h for h, path in (line.split("  ", 1) for line in lines)}
+        pin_build, other = pinned()
     elif args.against is not None:
         other = digest(args.against.resolve())
     else:
-        print(f"{listing}{len(hashes)} files")
+        print(f"{listing}{len(found)} files")
         return 0
-    paths = sorted(hashes.keys() | other.keys())
-    differ = [path for path in paths if hashes.get(path) != other.get(path)]
+    paths = sorted(found.keys() | other.keys())
+    differ = [path for path in paths if found.get(path) != other.get(path)]
     for path in differ:
         print(path)
     print(f"{len(differ)} of {len(paths)} files differ")
     if args.check and differ:
-        print(f"{PIN.name} was {header.removeprefix('# ')}; this run: {build()}")
+        print(f"{PIN.name} was pinned on {pin_build}; this run: {build()}")
     return 1 if differ else 0
 
 
