@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .geometry import ArrayConfig, ff_manifold
 
@@ -117,7 +116,11 @@ def coupling_matrix(config: ArrayConfig, model: CouplingModel) -> np.ndarray:
             f"band {model.band} exceeds the largest lag {config.element_count - 1}"
         )
     coeff = coupling_coefficients(config, model)
-    return toeplitz(coeff if model.symmetric else coeff.conj(), coeff)
+    lower = coeff if model.symmetric else coeff.conj()
+    m = config.element_count
+    lags = np.arange(m)
+    # Entry (i, j) reads lag j - i: lower[i - j] below the diagonal, coeff[j - i] on and above.
+    return np.concatenate((lower[::-1], coeff[1:]))[lags[None, :] - lags[:, None] + m - 1]
 
 
 def selection_matrix(element_count: int, trim: int) -> np.ndarray:

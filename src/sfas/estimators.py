@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .geometry import ArrayConfig, esg_manifold_centered, ff_manifold
+from .geometry import _MAX_RANGE_WL, ArrayConfig, esg_manifold_centered, ff_manifold
 from .simulate import CovarianceEstimate, SnapshotBlock, sample_covariance
 
 __all__ = [
@@ -109,6 +108,8 @@ class EstimatorSettings:
             (self.range_points >= 2, f"range_points >= 2 (got {self.range_points})"),
             (0.0 < self.range_min < self.range_max,
              f"0 < range_min < range_max (got {self.range_min}, {self.range_max})"),
+            (self.range_max <= _MAX_RANGE_WL,
+             f"range_max <= {_MAX_RANGE_WL:g} (got {self.range_max})"),
             (0.0 < self.window_range_fraction < 1.0,
              f"0 < window_range_fraction < 1 (got {self.window_range_fraction})"),
             (-90.0 <= self.angle_min_deg < self.angle_max_deg <= 90.0,
@@ -844,18 +845,23 @@ def pair_estimates(
 ) -> PairingResult:
     """Match estimates to truth by minimum total angular error.
 
-    Solved exactly (Hungarian assignment) for any source count.  Entry k of
-    the outputs refers to truth source k; errors are signed
-    (estimate - truth).
+    Solved exactly for any source count by sorted matching: the k-th
+    smallest estimate goes to the k-th smallest true angle.  The cost
+    |estimate - truth| is convex in the difference, so for x1 <= x2 and
+    y1 <= y2, |x1 - y1| + |x2 - y2| <= |x1 - y2| + |x2 - y1|, and uncrossing
+    pairs never raises the total.  Where several assignments tie, this
+    sorted one is returned.  Entry k of the outputs refers to truth source
+    k; errors are signed (estimate - truth).  Raises ValueError for a count
+    mismatch or a non-finite angle.
     """
     est = np.atleast_1d(np.asarray(estimated_angles_deg, dtype=float))
     true = np.atleast_1d(np.asarray(true_angles_deg, dtype=float))
     if est.shape != true.shape:
         raise ValueError(f"got {len(est)} estimates for {len(true)} sources")
-    cost = np.abs(est[:, None] - true[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(true))):
+        raise ValueError(f"angles must be finite, got estimates {est} for sources {true}")
     assignment = np.empty(len(true), dtype=int)
-    assignment[cols] = rows
+    assignment[np.argsort(true, kind="stable")] = np.argsort(est, kind="stable")
     angle_errors = est[assignment] - true
     range_errors = None
     if estimated_ranges is not None and true_ranges is not None:

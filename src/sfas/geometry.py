@@ -40,6 +40,12 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+# The largest source range, and estimator range_max, in wavelengths.  The
+# exact-geometry phase 2*pi*(r_m - r_0) subtracts two numbers near r: at
+# r = 1e9 one ulp of r is 1.2e-7 wl, so the phase rounds by under about
+# 1e-6 rad, while near 1e154 r * r overflows and the manifold turns NaN.
+_MAX_RANGE_WL = 1e9
+
 
 @dataclass(frozen=True)
 class ArrayConfig:

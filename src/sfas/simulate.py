@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import CouplingModel, coupling_matrix
-from .geometry import ArrayConfig, SourceTruth, array_center, esg_steering_centered
+from .geometry import _MAX_RANGE_WL, ArrayConfig, SourceTruth, array_center, esg_steering_centered
 
 __all__ = [
     "Scenario",
@@ -115,6 +115,10 @@ class Scenario:
                 problems.append(
                     f"source {i} range {src.range} is inside the extended "
                     f"half-aperture {reach}"
+                )
+            if src.range > _MAX_RANGE_WL:
+                problems.append(
+                    f"source {i} range {src.range} exceeds {_MAX_RANGE_WL:g} wavelengths"
                 )
         if self.snapshots < 1:
             problems.append(f"snapshots must be >= 1, got {self.snapshots}")

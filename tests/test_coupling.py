@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.linalg import toeplitz
 
 from sfas.coupling import (
     CouplingModel,
     coupling_coefficient,
+    coupling_coefficients,
     coupling_matrix,
     decoupling_residual,
     gamma_matrix,
@@ -71,17 +73,23 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(mat, expected, rtol=1e-15)
 
     def test_hermitian_toeplitz_banded(self):
+        # scipy's Toeplitz builder is the oracle, byte for byte: the Hermitian
+        # diagonal is conj(1) = 1-0j, which `array_equal` would not tell apart.
         rng = np.random.default_rng(11)
-        for _ in range(10):
+        for _ in range(20):
             cfg = ArrayConfig(int(rng.integers(4, 20)), 0.5, rng.uniform(0.1, 2.5))
             model = CouplingModel(
                 reference_strength=rng.uniform(0, 0.9),
                 decay=rng.uniform(0.2, 3.0),
                 phase_offset=rng.uniform(-np.pi, np.pi),
                 band=int(rng.integers(0, 4)),
+                symmetric=bool(rng.integers(0, 2)),
             )
             mat = coupling_matrix(cfg, model)
-            assert np.linalg.norm(mat - mat.conj().T) == 0.0
+            coeff = coupling_coefficients(cfg, model)
+            oracle = toeplitz(coeff if model.symmetric else coeff.conj(), coeff)
+            assert mat.shape == oracle.shape and mat.tobytes() == oracle.tobytes()
+            assert np.linalg.norm(mat - (mat.T if model.symmetric else mat.conj().T)) == 0.0
             for lag in range(cfg.element_count):
                 diag = np.diagonal(mat, lag)
                 assert np.all(diag == diag[0])

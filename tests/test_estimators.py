@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import clear_steering_caches
 from sfas import estimators
@@ -685,9 +686,13 @@ class TestPairing:
     def test_permutation_property(self, data):
         """The assignment is a permutation reaching the least total angular
         error; permuting the estimates permutes nothing in the errors
-        whenever that optimum is unique, and never changes its total."""
+        whenever that optimum is unique, and never changes its total.  A
+        unique optimum is scipy's assignment; a tied one is the sorted
+        matching.  Small integer angles make ties common."""
         k = data.draw(st.integers(1, 5), "size")
-        angles = st.floats(-90.0, 90.0, allow_subnormal=False)
+        angles = data.draw(st.sampled_from([
+            st.floats(-90.0, 90.0, allow_subnormal=False), st.integers(-3, 3).map(float),
+        ]), "angle kind")
         truth = np.array(data.draw(st.lists(angles, min_size=k, max_size=k), "truth"))
         est = np.array(data.draw(st.lists(angles, min_size=k, max_size=k), "estimates"))
         ranges = np.arange(1.0, k + 1.0)
@@ -695,6 +700,7 @@ class TestPairing:
         assert sorted(res.assignment) == list(range(k))
         np.testing.assert_array_equal(res.angle_errors, est[res.assignment] - truth)
         np.testing.assert_array_equal(res.range_errors, 10.0 * ranges[res.assignment] - ranges)
+        assert np.all(np.diff(est[res.assignment][np.argsort(truth, kind="stable")]) >= 0.0)
 
         costs = {p: np.abs(est[list(p)] - truth).sum() for p in itertools.permutations(range(k))}
         best = min(costs.values())
@@ -706,10 +712,18 @@ class TestPairing:
         if unique:
             np.testing.assert_array_equal(moved.angle_errors, res.angle_errors)
             np.testing.assert_array_equal(shuffle[moved.assignment], res.assignment)
+            rows, cols = linear_sum_assignment(np.abs(est[:, None] - truth[None, :]))
+            np.testing.assert_array_equal(res.assignment[cols], rows)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pair_estimates([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        for est, truth in (([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 2.0])):
+            with pytest.raises(ValueError, match="finite"):
+                pair_estimates(est, truth)
 
 
 class TestSpectrumSanity:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -751,6 +754,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL  central-subarray decoupling identity" in out
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is the test suite's oracle only: a fresh interpreter runs a
+        # single shot and a one-trial campaign without importing it.
+        scenario = str(SCENARIO_DIR / "campaign_mixed_field_snr.yaml")
+        code = (
+            "import sys\n"
+            "from sfas.cli import main\n"
+            f"assert main(['single-shot', {scenario!r}, '--out', 'shot']) == 0\n"
+            f"assert main(['campaign', {scenario!r}, '--trials', '1', '--out', 'runs']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(SCENARIO_DIR.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_single_shot_verb(self, tmp_path, capsys):
         path = tmp_path / "scen.yaml"
         path.write_text(
@@ -946,3 +969,19 @@ class TestCli:
                 assert cli_main([verb, str(path)]) == 2, keys
                 err = capsys.readouterr().err
                 assert all(k in err for k in keys), (keys, err)
+
+        # A source range or `range_max` beyond 1e9 wl exits 2 before any
+        # trial or bound: near 1e154, r * r overflows in the manifold.
+        huge = {
+            base.replace("range: 5000.0", "range: 1.0e+160"):
+                "source 3 range 1e+160 exceeds 1e+09 wavelengths",
+            f"{base}\nestimator: {{range_max: 1.0e+160}}\n":
+                "estimator: settings must satisfy range_max <= 1e+09 (got 1e+160)",
+        }
+        for text, key in huge.items():
+            path.write_text(text)
+            for verb in ("validate", "single-shot", "crb"):
+                out = [] if verb == "validate" else ["--out", str(tmp_path / "huge")]
+                assert cli_main([verb, str(path), *out]) == 2, (verb, key)
+                assert key in capsys.readouterr().err, (verb, key)
+        assert not (tmp_path / "huge").exists()
