@@ -286,7 +286,7 @@ def _accept_peaks(candidates, values, angles, count: int, min_separation: float)
 
 
 def stage1_music(
-    block: SnapshotBlock,
+    block: SnapshotBlock | CovarianceEstimate,
     trim: int,
     source_count: int,
     angle_grid_deg: np.ndarray | None = None,
@@ -294,9 +294,10 @@ def stage1_music(
 ) -> tuple[SpectrumGrid, np.ndarray]:
     """Coarse angles from the compressed configuration.
 
-    Selects the central M - 2*trim rows/columns of the sample covariance,
-    decomposes, and scans the matching rows of the far-field manifold.
-    Returns the spectrum and the `source_count` peak angles in degrees.
+    Selects the central M - 2*trim rows/columns of the sample covariance
+    (of the block, or the covariance given), decomposes, and scans the
+    matching rows of the far-field manifold.  Returns the spectrum and the
+    `source_count` peak angles in degrees.
     """
     m = block.config.element_count
     if m - 2 * trim <= source_count:
@@ -308,12 +309,18 @@ def stage1_music(
     return grid, peaks
 
 
-def _far_field_scan(block: SnapshotBlock, trim: int, source_count: int, angle_grid_deg):
+def _covariance(block: SnapshotBlock | CovarianceEstimate) -> CovarianceEstimate:
+    """The covariance an estimator reads: a block's sample covariance, or
+    the covariance given."""
+    return sample_covariance(block) if isinstance(block, SnapshotBlock) else block
+
+
+def _far_field_scan(block, trim: int, source_count: int, angle_grid_deg):
     """Far-field MUSIC spectrum of the central M - 2*trim rows/columns of the sample covariance."""
     if angle_grid_deg is None:
         angle_grid_deg = EstimatorSettings().angle_grid_deg()
     m = block.config.element_count
-    cov = sample_covariance(block)
+    cov = _covariance(block)
     central = cov.matrix[trim : m - trim, trim : m - trim]
     decomp = decompose(CovarianceEstimate(central, cov.snapshot_count), source_count)
     grid = np.asarray(angle_grid_deg)
@@ -763,7 +770,7 @@ def mc_music_refine(
 
 
 def baseline_ff_music(
-    block: SnapshotBlock,
+    block: SnapshotBlock | CovarianceEstimate,
     source_count: int,
     angle_grid_deg: np.ndarray | None = None,
 ) -> SpectrumGrid:
@@ -776,7 +783,7 @@ def baseline_ff_music(
 
 
 def oracle_2d_music(
-    block_extended: SnapshotBlock,
+    block_extended: SnapshotBlock | CovarianceEstimate,
     source_count: int,
     angle_grid_deg: np.ndarray | None = None,
     range_grid: np.ndarray | None = None,
@@ -795,7 +802,7 @@ def oracle_2d_music(
     if range_grid is None:
         range_grid = settings.range_grid()
     angle_grid_deg = np.asarray(angle_grid_deg, float)
-    decomp = decompose(sample_covariance(block_extended), source_count)
+    decomp = decompose(_covariance(block_extended), source_count)
     cost = _plain_cost(decomp, block_extended.config)
     angles_rad = np.deg2rad(angle_grid_deg)
     denom = np.empty((len(angle_grid_deg), len(range_grid)))
@@ -918,15 +925,16 @@ class _Spectra:
 
 
 def two_stage_localize(
-    block_compressed: SnapshotBlock,
-    block_extended: SnapshotBlock,
+    block_compressed: SnapshotBlock | CovarianceEstimate,
+    block_extended: SnapshotBlock | CovarianceEstimate,
     source_count: int,
     trim: int,
     settings: EstimatorSettings = EstimatorSettings(),
     mc_band: int | None = None,
     spectra: _Spectra | None = None,
 ) -> LocalizationEstimate:
-    """Run the complete pipeline on one pair of snapshot blocks.
+    """Run the complete pipeline on one pair of snapshot blocks, or on
+    their covariances.
 
     With `mc_band` set, the 2-D refinement uses the coupling-robust
     rank-reduction spectrum instead of the plain exact-geometry one.  With
@@ -942,7 +950,7 @@ def two_stage_localize(
     )
     if spectra is not None:
         spectra.stage1 = stage1
-    decomp = decompose(sample_covariance(block_extended), source_count)
+    decomp = decompose(_covariance(block_extended), source_count)
     range_grid = settings.range_grid()
     config = block_extended.config
     if spectra is not None:

@@ -165,10 +165,13 @@ class SnapshotBlock:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian sample covariance and the number of snapshots behind it."""
+    """Hermitian sample covariance and the number of snapshots behind it;
+    an estimator given one in place of a block reads the array from
+    `config`."""
 
     matrix: np.ndarray
     snapshot_count: int
+    config: ArrayConfig | None = None
 
 
 def _stream(seed: int, trial: int, stage: str, role: int, sub: int = 0) -> np.random.Generator:

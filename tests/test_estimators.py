@@ -648,6 +648,47 @@ class TestOracle:
             assert rng_cell == o_rng
 
 
+def with_config(block):
+    """A block's sample covariance carrying the block's array config."""
+    return replace(sample_covariance(block), config=block.config)
+
+
+class TestCovarianceInput:
+    """Every estimator reads a block only through its sample covariance, so
+    that covariance in place of the block gives the same bytes."""
+
+    @pytest.mark.parametrize("mc_band", [None, 2])
+    def test_two_stage_on_covariances_is_two_stage_on_blocks(
+        self, coupled_extended_scenario, mc_band
+    ):
+        scen = coupled_extended_scenario.with_snr(10.0)
+        block_c = generate_snapshots_compressed(scen, 1)
+        block_e = generate_snapshots_extended(scen, True, 1)
+        runs = []
+        for inputs in ((block_c, block_e), (with_config(block_c), with_config(block_e))):
+            spectra = estimators._Spectra()
+            est = two_stage_localize(*inputs, 2, 2, SETTINGS, mc_band, spectra)
+            grids = [spectra.stage1, *spectra.range_scans, *spectra.refine_patches]
+            runs.append((est, [g.values.tobytes() for g in grids]))
+        assert runs[0] == runs[1]
+        peaks = [stage1_music(b, 2, 2)[1].tobytes() for b in (block_c, with_config(block_c))]
+        assert peaks[0] == peaks[1]
+
+    def test_baseline_and_oracle_on_covariances(self, mixed_scenario):
+        scen = replace(mixed_scenario, snapshots=60)
+        block_b = generate_snapshots_baseline(scen, 2)
+        assert (
+            baseline_ff_music(with_config(block_b), 4).values.tobytes()
+            == baseline_ff_music(block_b, 4).values.tobytes()
+        )
+        block_e = generate_snapshots_extended(scen, False, 2)
+        coarse = dict(angle_grid_deg=np.arange(-60.0, 60.5, 0.5),
+                      range_grid=np.geomspace(20.0, 6000.0, 40))
+        pairs, grid = oracle_2d_music(with_config(block_e), 4, **coarse)
+        pairs_b, grid_b = oracle_2d_music(block_e, 4, **coarse)
+        assert pairs == pairs_b and grid.values.tobytes() == grid_b.values.tobytes()
+
+
 class TestPairing:
     def test_identity(self):
         res = pair_estimates([1.0, 2.0], [1.0, 2.0], [10.0, 20.0], [10.0, 20.0])
