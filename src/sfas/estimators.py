@@ -483,10 +483,12 @@ def _parabolic_vertex(d_lo: float, d_mid: float, d_hi: float) -> float:
 
 
 # Design matrix of the 3x3 quadratic fit: the terms 1, x, y, x^2, y^2, xy
-# at the unit offsets (x, y) of the patch cells, row-major.
+# at the unit offsets (x, y) of the patch cells, row-major; it has full
+# column rank, so its pseudo-inverse maps a patch to its least-squares fit.
 _QUADRATIC_BASIS = np.array(
     [[1.0, x, y, x * x, y * y, x * y] for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
 )
+_QUADRATIC_PINV = np.linalg.pinv(_QUADRATIC_BASIS)
 
 
 def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
@@ -497,7 +499,7 @@ def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
     included, which matters on tilted angle/range ridges.  None when the
     fitted Hessian is not positive definite.
     """
-    p, *_ = np.linalg.lstsq(_QUADRATIC_BASIS, patch.ravel(), rcond=None)
+    p = _QUADRATIC_PINV @ patch.ravel()
     hess = np.array([[2.0 * p[3], p[5]], [p[5], 2.0 * p[4]]])
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     if hess[0, 0] <= 0.0 or det <= 0.0:

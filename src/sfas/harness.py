@@ -4,7 +4,7 @@ Scenario and campaign descriptions live in YAML files (key/value with
 nested sections); every output CSV embeds the fully resolved configuration
 and package version in `#`-prefixed header lines so any result can be
 reproduced from the artifact alone.  A single shot and every campaign
-trial take one path, `_run_trial`: synthesize the trial's blocks, then run
+trial take one path, `_run_trial`: draw the trial's covariances, then run
 estimators of the `_ESTIMATORS` registry on them, each giving a
 `_TrialRecord`.  Trials are deterministic functions of (seed, trial
 index), so the worker count changes wall time only, never a byte of output.
@@ -48,8 +48,10 @@ from .geometry import (
     ff_steering,
     rayleigh_distance,
 )
+# Trials draw covariances; generate_snapshots_* stay for perfbench/tracing.py:SITES.
 from .simulate import (
     Scenario,
+    draw_covariance,
     generate_snapshots_baseline,
     generate_snapshots_compressed,
     generate_snapshots_extended,
@@ -612,32 +614,30 @@ def _score(scenario: Scenario, record: _TrialRecord) -> list[tuple] | None:
     return cells
 
 
-def _two_stage_trial(scenario, settings, block_c, block_e, trial, spectra, mc=False):
+def _two_stage_trial(scenario, settings, cov_c, cov_e, trial, spectra, mc=False):
     trim = settings.resolve_trim(scenario.coupling.band)
     band = max(1, (scenario.coupling_extended or scenario.coupling).band) if mc else None
-    est = two_stage_localize(
-        block_c, block_e, scenario.source_count, trim, settings, band, spectra
-    )
+    est = two_stage_localize(cov_c, cov_e, scenario.source_count, trim, settings, band, spectra)
     flat = tuple(s.range_flat for s in est.sources)
     return _TrialRecord(
         est.refined_angles_deg, est.refined_ranges, flat, est.coarse_angles_deg, est
     )
 
 
-def _baseline_trial(scenario, settings, block_c, block_e, trial, spectra):
+def _baseline_trial(scenario, settings, cov_c, cov_e, trial, spectra):
     k = scenario.source_count
-    block_b = generate_snapshots_baseline(scenario, trial)
-    grid = baseline_ff_music(block_b, k, settings.angle_grid_deg())
+    cov_b = draw_covariance(scenario, "baseline", trial)
+    grid = baseline_ff_music(cov_b, k, settings.angle_grid_deg())
     if spectra is not None:
         spectra.conventional = grid
     peaks = find_spectrum_peaks(grid.axes[0], grid.values, k, settings.min_peak_separation_deg)
     return _TrialRecord(peaks)
 
 
-def _oracle_trial(scenario, settings, block_c, block_e, trial, spectra):
+def _oracle_trial(scenario, settings, cov_c, cov_e, trial, spectra):
     k = scenario.source_count
     pairs, _ = oracle_2d_music(
-        block_e, k, settings.angle_grid_deg(), settings.range_grid(),
+        cov_e, k, settings.angle_grid_deg(), settings.range_grid(),
         settings.min_peak_separation_deg,
     )
     return _TrialRecord([a for a, _ in pairs], [r for _, r in pairs], (False,) * k)
@@ -660,17 +660,18 @@ def _run_trial(
     trial: int,
     spectra: _Spectra | None = None,
 ) -> dict[str, _TrialRecord]:
-    """Each named estimator's record of one trial, all on the same
-    synthesized blocks.  A failed estimator's record holds its error; with
-    `spectra` given, the spectra the estimators compute are kept there."""
+    """Each named estimator's record of one trial, all on the same drawn
+    sample covariances (see `simulate.draw_covariance`).  A failed
+    estimator's record holds its error; with `spectra` given, the spectra
+    the estimators compute are kept there."""
     include_coupling = scenario.coupling_extended is not None
-    block_c = generate_snapshots_compressed(scenario, trial)
-    block_e = generate_snapshots_extended(scenario, include_coupling, trial)
+    cov_c = draw_covariance(scenario, "compressed", trial)
+    cov_e = draw_covariance(scenario, "extended", trial, include_coupling)
 
     out: dict[str, _TrialRecord] = {}
     for name in estimators:
         try:
-            out[name] = _ESTIMATORS[name][0](scenario, settings, block_c, block_e, trial, spectra)
+            out[name] = _ESTIMATORS[name][0](scenario, settings, cov_c, cov_e, trial, spectra)
         except (UnderResolutionError, DegenerateSubspaceError) as exc:
             out[name] = _TrialRecord(error=exc)
     return out
@@ -799,8 +800,11 @@ def run_campaign(
     thread pool of at most `threads` workers, with OpenBLAS held at one
     thread meanwhile (see `_blas`), so the pool is the only parallelism.
     Jobs are scheduled trial-major, so the cells of one trial run back to
-    back and the cells of an SNR sweep share that trial's random draws
-    (see `simulate._draws`).  Results are reduced in (cell, trial)
+    back.  The cells of an SNR sweep, the noiseless one included, share
+    each trial's random draws, because a trial's covariances are built
+    from one Wishart factor per stage that does not depend on the SNR
+    (see `simulate.draw_covariance`); the cells of a snapshot sweep draw
+    independently.  Results are reduced in (cell, trial)
     order, so the outputs depend neither on `threads` nor on the host's
     BLAS thread count.  Per-trial estimator failures are counted and
     excluded, never fatal.

@@ -8,8 +8,18 @@ coupling applied in the compressed configuration and optionally in the
 extended one.  Every random draw comes from a named stream keyed by
 (seed, trial, stage, role[, source]), so adding sources, snapshots or
 stages never perturbs the draws of the others and trials can run in any
-order on any number of workers.  The draws do not depend on the SNR, so
-the cells of an SNR sweep share them through a small memo.
+order on any number of workers.
+
+Estimators read a block only through its sample covariance, so a
+campaign trial draws that covariance directly (`draw_covariance`): the
+data are x = F z with F = [C A P^{1/2}, sigma I] and z ~ CN(0, I_{K+M}),
+so R = F W F^H / N with W complex Wishart, drawn by Bartlett's
+decomposition from K + M gammas and (K + M)(K + M - 1)/2 complex normals
+instead of N (K + M) normals.  W does not depend on the SNR, so every
+cell of an SNR sweep reads the same W.  Snapshot blocks
+(`generate_snapshots_*`) keep the direct draw, for export and as the
+oracle of the covariance draw; their draws do not depend on the SNR
+either, and a small memo shares them between the cells of a sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ __all__ = [
     "generate_snapshots_extended",
     "generate_snapshots_baseline",
     "sample_covariance",
+    "draw_covariance",
     "save_snapshot_block",
     "load_snapshot_block",
 ]
@@ -38,6 +49,7 @@ __all__ = [
 _STAGE_CODES = {"compressed": 0, "extended": 1, "baseline": 2}
 _ROLE_SIGNAL = 0
 _ROLE_NOISE = 1
+_ROLE_WISHART = 2
 
 
 @dataclass(frozen=True)
@@ -179,10 +191,11 @@ def _stream(seed: int, trial: int, stage: str, role: int, sub: int = 0) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-# Blocks whose draws the memo below keeps: the stages of two trials.  A
-# campaign runs the sweep cells of a trial back to back (see
-# `harness.run_campaign`), so a pool no wider than the sweep works on one
-# or two trials at a time.  A miss only draws the same bytes again.
+# Blocks whose draws the memo below keeps: the stages of two trials, so
+# callers that walk the cells of an SNR sweep trial by trial through
+# `generate_snapshots_*` draw each (trial, stage) once.  Campaigns draw
+# covariances instead (`draw_covariance`) and never reach the memo.  A
+# miss only draws the same bytes again.
 _MEMO_BLOCKS = 2 * len(_STAGE_CODES)
 
 
@@ -274,6 +287,63 @@ def sample_covariance(block: SnapshotBlock) -> CovarianceEstimate:
     mat = block.data @ block.data.conj().T / n
     mat = 0.5 * (mat + mat.conj().T)
     return CovarianceEstimate(mat, n)
+
+
+def _wishart_factor(
+    seed: int, trial: int, stage: str, rows: int, snapshots: int
+) -> np.ndarray:
+    """A factor L whose L L^H has the law of Z Z^H, for Z a rows x N matrix
+    of unit circular Gaussians.  For N >= rows it is Bartlett's (rows, rows)
+    lower-triangular factor: sqrt(Gamma(N - i)) down the diagonal and
+    CN(0, 1) below it; for fewer snapshots it is Z.  The stream is keyed by
+    N too, so the cells of a snapshot sweep draw independently."""
+    rng = _stream(seed, trial, stage, _ROLE_WISHART, snapshots)
+    # Each (re, im) pair of a last axis of 2 is one complex sample.
+    if snapshots < rows:
+        return rng.standard_normal((rows, snapshots, 2)).view(complex)[:, :, 0] * np.sqrt(0.5)
+    factor = np.diag(np.sqrt(rng.standard_gamma(snapshots - np.arange(rows)))).astype(complex)
+    below = np.tri(rows, k=-1, dtype=bool)
+    pairs = rng.standard_normal((rows * (rows - 1) // 2, 2))
+    factor[below] = pairs.view(complex)[:, 0] * np.sqrt(0.5)
+    return factor
+
+
+def _factor_covariance(
+    channel: np.ndarray, powers, noise_variance: float, factor: np.ndarray, snapshots: int
+) -> np.ndarray:
+    """F L L^H F^H / N with F = [channel P^{1/2}, sigma I], made exactly
+    Hermitian: the sample covariance of the snapshots F Z when L = Z."""
+    k = channel.shape[1]
+    mix = (channel * np.sqrt(powers)) @ factor[:k]
+    if noise_variance:
+        mix += np.sqrt(noise_variance) * factor[k:]
+    mat = mix @ mix.conj().T / snapshots
+    return 0.5 * (mat + mat.conj().T)
+
+
+def draw_covariance(
+    scenario: Scenario, stage: str, trial: int = 0, include_coupling: bool = False
+) -> CovarianceEstimate:
+    """The sample covariance of a `generate_snapshots_<stage>` block, drawn
+    in the covariance domain (see the module docstring): the same law, not
+    the same numbers.  It carries its array config, so estimators take it
+    in place of the block; `include_coupling` is the extended stage's."""
+    config, model = {
+        "compressed": (scenario.config_compressed, scenario.coupling),
+        "extended": (
+            scenario.config_extended,
+            (scenario.coupling_extended or scenario.coupling) if include_coupling else None,
+        ),
+        "baseline": (scenario.config_compressed.with_scale(1.0), None),
+    }[stage]
+    channel = _channel_matrix(scenario.sources, config, model)
+    n = scenario.snapshots
+    factor = _wishart_factor(
+        scenario.seed, trial, stage, scenario.source_count + config.element_count, n
+    )
+    powers = [src.power for src in scenario.sources]
+    mat = _factor_covariance(channel, powers, scenario.noise_variance, factor, n)
+    return CovarianceEstimate(mat, n, config)
 
 
 # Binary snapshot interchange: little-endian header

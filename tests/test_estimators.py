@@ -14,6 +14,8 @@ from sfas import estimators
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
     _CACHED_LATTICES,
+    _QUADRATIC_BASIS,
+    _QUADRATIC_PINV,
     _SUBLATTICE_STRIDE,
     DegenerateSubspaceError,
     EstimatorSettings,
@@ -311,6 +313,18 @@ class TestStage2:
         assert near_angle > 10.0 and near_range > 10.0
         assert far_angle > 10.0
         assert far_range < near_range
+
+
+class TestQuadraticFit:
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(patch=st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+    def test_pseudo_inverse_fit_is_lstsq(self, patch):
+        """The constant pseudo-inverse gives the least-squares coefficients
+        of any 3x3 patch, to rounding."""
+        values = np.array(patch)
+        fit = _QUADRATIC_PINV @ values
+        oracle, *_ = np.linalg.lstsq(_QUADRATIC_BASIS, values, rcond=None)
+        np.testing.assert_allclose(fit, oracle, rtol=0, atol=1e-13 * max(1.0, abs(values).max()))
 
 
 def full_grid_argmin(cost, angles_deg, ranges):

@@ -643,24 +643,28 @@ class TestCampaign:
             outputs(threads)
         assert all(run == runs[0] for run in runs)
 
-    def test_snr_cells_of_a_trial_share_its_draws(self):
-        """Trial-major scheduling: at one thread an S-cell SNR sweep draws
-        each (trial, stage) once, not S times; a snapshot sweep shares
-        nothing, since a block's draws depend on its snapshot count."""
+    def test_snr_cells_of_a_trial_share_one_wishart_factor(self, monkeypatch):
+        """The cells of an SNR sweep, the noiseless one included, build each
+        (trial, stage) covariance from one Wishart factor; the cells of a
+        snapshot sweep key theirs apart, so they draw independently."""
+        keys = []
+        factor = simulate._wishart_factor
+        monkeypatch.setattr(
+            simulate, "_wishart_factor", lambda *key: keys.append(key) or factor(*key)
+        )
         scen = small_scenario(snapshots=40)
         estimators_ = ("two_stage", "baseline_ff_music")  # three stages a trial
         snr = Campaign(scenario=scen, sweep="snr_db", values=(0.0, 10.0, 20.0, math.inf),
                        trials=5, estimators=estimators_)
         snapshots = Campaign(scenario=scen, sweep="snapshots", values=(30, 40, 50),
                              trials=3, estimators=estimators_)
-        # (campaign, memo misses, memo hits); the noiseless cell keys its
-        # draws apart (it draws no noise), so it draws each signal again.
-        expected = ((snr, 5 * 3 * 2, 5 * 3 * 2), (snapshots, 3 * 3 * 3, 0))
-        for camp, misses, hits in expected:
-            clear_steering_caches()
-            run_campaign(camp, threads=1)
-            info = simulate._draws.cache_info()
-            assert (info.misses, info.hits) == (misses, hits), (camp.sweep, info)
+        # (campaign, distinct factors): one per (trial, stage), and per cell
+        # too in a snapshot sweep.
+        for camp, distinct in ((snr, 5 * 3), (snapshots, 3 * 3 * 3)):
+            keys.clear()
+            run_campaign(camp, threads=2)
+            assert len(keys) == len(camp.values) * camp.trials * 3
+            assert len(set(keys)) == distinct, camp.sweep
 
     def test_cells_reduce_as_single_cell_sweeps(self, tmp_path):
         """The trial-major schedule leaves each cell's rows those of a sweep
@@ -784,6 +788,25 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "stage1_proposed.csv").exists()
         assert "source" in capsys.readouterr().out
+
+    def test_single_snapshot_file_runs(self, tmp_path):
+        """With `snapshots: 1`, fewer than K + M, trials draw the covariance
+        from the direct (K + M) x 1 factor; a single shot and a campaign
+        both run and score every trial."""
+        path = tmp_path / "one.yaml"
+        path.write_text(
+            "seed: 3\nsnapshots: 1\nsnr_db: 20.0\n"
+            "sources:\n  - {angle_deg: 10.0, range: 30.0}\n"
+            "campaign: {sweep: snr_db, values: [10.0, .inf], trials: 2}\n"
+        )
+        for verb in ("single-shot", "campaign"):
+            assert cli_main([verb, str(path), "--out", str(tmp_path / verb)]) == 0
+        estimate = json.loads((tmp_path / "single-shot" / "estimate.json").read_text())
+        assert len(estimate["estimate"]["sources"]) == 1
+        rows = read_csv(tmp_path / "campaign" / "rmse.csv")
+        totals = [r["value"] for r in rows if r["metric"] == "trials_total"]
+        failed = [r["value"] for r in rows if r["metric"] == "trials_failed"]
+        assert totals == ["2", "2"] and failed == ["0", "0"]
 
     def test_campaign_verb_with_overrides(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "camp.yaml"

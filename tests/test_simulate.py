@@ -1,10 +1,12 @@
 import hashlib
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.stats import ks_2samp
 
 from sfas import simulate
 from sfas.coupling import CouplingModel, coupling_matrix
@@ -12,6 +14,7 @@ from sfas.geometry import ArrayConfig, SourceTruth, esg_steering_centered
 from sfas.simulate import (
     Scenario,
     SnapshotBlock,
+    draw_covariance,
     generate_snapshots_baseline,
     generate_snapshots_compressed,
     generate_snapshots_extended,
@@ -395,6 +398,107 @@ class TestSampleCovariance:
             for s in sources
         )
         assert trace == pytest.approx(expected, rel=0.02)
+
+
+def small_array_scenario(sources, snapshots, **kw):
+    """An 8-element scene, with extended-stage coupling on request."""
+    return Scenario(
+        sources=sources,
+        config_compressed=ArrayConfig(8, 0.5, 0.2),
+        config_extended=ArrayConfig(8, 0.5, 2.0),
+        snapshots=snapshots,
+        **kw,
+    )
+
+
+GENERATE = {
+    "compressed": lambda scen, trial, coupled: generate_snapshots_compressed(scen, trial),
+    "extended": lambda scen, trial, coupled: generate_snapshots_extended(scen, coupled, trial),
+    "baseline": lambda scen, trial, coupled: generate_snapshots_baseline(scen, trial),
+}
+
+
+class TestCovarianceDraw:
+    """`draw_covariance` against the snapshot path it stands in for."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        sources=st.lists(
+            st.tuples(st.floats(-70.0, 70.0), st.floats(10.0, 5000.0), st.floats(0.1, 4.0)),
+            max_size=3,
+        ),
+        n=st.integers(1, 40),
+        snr_db=st.one_of(st.floats(-30.0, 40.0), st.just(float("inf"))),
+        seed=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 9),
+        stage=st.sampled_from(("compressed", "extended", "baseline")),
+        coupled=st.booleans(),
+    )
+    def test_block_draws_as_factor_give_the_block_covariance(
+        self, sources, n, snr_db, seed, trial, stage, coupled
+    ):
+        """With the block path's own unit draws Z as the factor, the drawn
+        covariance F (Z Z^H) F^H / N is the block's sample covariance to
+        rounding: coupled or not, noiseless or not, with or without sources."""
+        scen = small_array_scenario(
+            tuple(SourceTruth.from_degrees(*src) for src in sources), n,
+            coupling_extended=CouplingModel(0.3, 1.0, 0.0, band=2, symmetric=True)
+            if coupled else None,
+            snr_db=snr_db, seed=seed,
+        )
+        powers = tuple(src.power for src in scen.sources)
+        m = 8 if scen.noise_variance else 0
+        signal, noise = simulate._draws(seed, trial, stage, n, powers, m)
+        unit_noise = noise.view(complex)[:, :, 0].T / np.sqrt(2.0) if m else np.zeros((8, n))
+        z = np.vstack([signal / np.sqrt(np.array(powers)).reshape(-1, 1), unit_noise])
+        keys = []
+        with mock.patch.object(simulate, "_wishart_factor", lambda *key: keys.append(key) or z):
+            cov = draw_covariance(scen, stage, trial, coupled)
+        assert keys == [(seed, trial, stage, len(sources) + 8, n)]
+
+        block = GENERATE[stage](scen, trial, coupled)
+        oracle = sample_covariance(block).matrix
+        assert cov.snapshot_count == n and cov.config == block.config
+        np.testing.assert_allclose(cov.matrix, oracle, rtol=0, atol=1e-12 * abs(oracle).max())
+        assert np.array_equal(cov.matrix, cov.matrix.conj().T)
+
+    # N >= K + M = 10 takes Bartlett's factor; 8 <= N < 10 the direct draw.
+    @pytest.mark.parametrize("n", [30, 9])
+    def test_same_law_as_the_snapshot_path(self, n):
+        """Over 1,500 trials the drawn and the synthesized covariances agree
+        in mean and entry variance, and a two-sample KS test does not tell
+        their smallest or largest eigenvalues apart."""
+        scen = small_array_scenario(
+            (SourceTruth.from_degrees(-20.0, 30.0), SourceTruth.from_degrees(15.0, 900.0, 2.0)),
+            n, snr_db=0.0, seed=5,
+        )
+        trials = range(1500)
+        synthesized = np.array([
+            sample_covariance(generate_snapshots_extended(scen, False, t)).matrix for t in trials
+        ])
+        drawn = np.array([draw_covariance(scen, "extended", t).matrix for t in trials])
+        # The means differ by under three standard errors of their difference.
+        spread = (drawn.var(axis=0).sum() + synthesized.var(axis=0).sum()) / len(trials)
+        assert np.linalg.norm(drawn.mean(axis=0) - synthesized.mean(axis=0)) < 3 * spread**0.5
+        ratio = drawn.var(axis=0).mean() / synthesized.var(axis=0).mean()
+        assert ratio == pytest.approx(1.0, abs=0.05)
+        eigs = [np.linalg.eigvalsh(covs) for covs in (synthesized, drawn)]
+        for column in (0, -1):
+            assert ks_2samp(eigs[0][:, column], eigs[1][:, column]).pvalue > 0.01
+
+    def test_snapshot_sweep_cells_draw_independently(self):
+        """The cells of an SNR sweep share a trial's factor, so their traces
+        move together over trials; the factor's stream is keyed by N, so
+        two cells of a snapshot sweep are uncorrelated."""
+        scen = small_array_scenario((SourceTruth.from_degrees(10.0, 300.0),), 40, seed=11)
+
+        def traces(cell):
+            return [np.trace(draw_covariance(cell, "compressed", t).matrix).real
+                    for t in range(400)]
+
+        snr = np.corrcoef(traces(scen.with_snr(0.0)), traces(scen.with_snr(10.0)))[0, 1]
+        snapshots = np.corrcoef(traces(scen), traces(scen.with_snapshots(60)))[0, 1]
+        assert snr > 0.9 and abs(snapshots) < 0.15, (snr, snapshots)
 
 
 class TestBinaryInterchange:
