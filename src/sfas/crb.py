@@ -172,10 +172,12 @@ def _invert_with_markers(fim: np.ndarray) -> np.ndarray:
     bound; the rest are bounded by inverting the identifiable submatrix.
     """
     n = fim.shape[0]
-    if np.linalg.cond(fim) < _SINGULAR_COND:
-        return np.diag(np.linalg.inv(fim)).copy()
     w, v = np.linalg.eigh(fim)
-    null = w < max(w[-1], 0.0) * 1e-12
+    if w[0] > 0.0 and w[-1] < _SINGULAR_COND * w[0]:
+        return np.diag(np.linalg.inv(fim)).copy()
+    # A Fisher matrix is positive semi-definite: a negative eigenvalue is
+    # rounding, and no eigenvalue within its size of zero is resolved.
+    null = w < max(max(w[-1], 0.0) * 1e-12, -w[0])
     weight_in_null = np.sum(v[:, null] ** 2, axis=1)
     unbounded = weight_in_null > 1e-8
     out = np.full(n, np.inf)

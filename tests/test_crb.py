@@ -184,3 +184,14 @@ class TestFisherAndCrb:
         src = SourceTruth.from_degrees(10.0, 100.0)
         res = crb((src, src), ArrayConfig(16, 0.5, 2.0), 100, 0.1)
         assert np.all(np.isinf(res.angle_variance))
+
+    def test_rounded_indefinite_fisher_gives_no_negative_bound(self):
+        # Two sources 0.016 deg apart on 7 elements: rounding leaves the
+        # Fisher matrix an eigenvalue of -8e-9 beside a largest of 1.5e-4,
+        # and its plain inverse had a diagonal of -6e7.
+        sources = (SourceTruth.from_degrees(0.0, 20.0), SourceTruth.from_degrees(0.015625, 20.0))
+        for scale in (1.0, 2.0):
+            res = crb(sources, ArrayConfig(7, 0.5, scale), 4, 10.0)
+            assert np.linalg.eigvalsh(res.fisher.matrix)[0] < 0.0
+            bounds = np.concatenate([res.angle_variance, res.range_variance])
+            assert np.all(bounds >= 0.0), bounds
