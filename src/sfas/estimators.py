@@ -315,7 +315,9 @@ def _covariance(block: SnapshotBlock | CovarianceEstimate) -> CovarianceEstimate
     return sample_covariance(block) if isinstance(block, SnapshotBlock) else block
 
 
-def _far_field_scan(block, trim: int, source_count: int, angle_grid_deg):
+def _far_field_scan(
+    block: SnapshotBlock | CovarianceEstimate, trim: int, source_count: int, angle_grid_deg
+):
     """Far-field MUSIC spectrum of the central M - 2*trim rows/columns of the sample covariance."""
     if angle_grid_deg is None:
         angle_grid_deg = EstimatorSettings().angle_grid_deg()

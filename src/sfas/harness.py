@@ -664,9 +664,8 @@ def _run_trial(
     sample covariances (see `simulate.draw_covariance`).  A failed
     estimator's record holds its error; with `spectra` given, the spectra
     the estimators compute are kept there."""
-    include_coupling = scenario.coupling_extended is not None
     cov_c = draw_covariance(scenario, "compressed", trial)
-    cov_e = draw_covariance(scenario, "extended", trial, include_coupling)
+    cov_e = draw_covariance(scenario, "extended", trial)
 
     out: dict[str, _TrialRecord] = {}
     for name in estimators:

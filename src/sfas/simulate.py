@@ -308,42 +308,27 @@ def _wishart_factor(
     return factor
 
 
-def _factor_covariance(
-    channel: np.ndarray, powers, noise_variance: float, factor: np.ndarray, snapshots: int
-) -> np.ndarray:
-    """F L L^H F^H / N with F = [channel P^{1/2}, sigma I], made exactly
-    Hermitian: the sample covariance of the snapshots F Z when L = Z."""
-    k = channel.shape[1]
-    mix = (channel * np.sqrt(powers)) @ factor[:k]
-    if noise_variance:
-        mix += np.sqrt(noise_variance) * factor[k:]
-    mat = mix @ mix.conj().T / snapshots
-    return 0.5 * (mat + mat.conj().T)
-
-
-def draw_covariance(
-    scenario: Scenario, stage: str, trial: int = 0, include_coupling: bool = False
-) -> CovarianceEstimate:
-    """The sample covariance of a `generate_snapshots_<stage>` block, drawn
-    in the covariance domain (see the module docstring): the same law, not
-    the same numbers.  It carries its array config, so estimators take it
-    in place of the block; `include_coupling` is the extended stage's."""
+def draw_covariance(scenario: Scenario, stage: str, trial: int = 0) -> CovarianceEstimate:
+    """The sample covariance of a `generate_snapshots_<stage>` block (the
+    extended stage coupled when the scenario declares extended coupling),
+    drawn in the covariance domain: F L L^H F^H / N, made exactly Hermitian,
+    with F = [channel P^{1/2}, sigma I] and L the trial's Wishart factor.
+    The same law as the block's, not the same numbers; with the block's own
+    unit draws as L it is the block's sample covariance.  It carries its
+    array config, so estimators take it in place of the block."""
     config, model = {
         "compressed": (scenario.config_compressed, scenario.coupling),
-        "extended": (
-            scenario.config_extended,
-            (scenario.coupling_extended or scenario.coupling) if include_coupling else None,
-        ),
+        "extended": (scenario.config_extended, scenario.coupling_extended),
         "baseline": (scenario.config_compressed.with_scale(1.0), None),
     }[stage]
     channel = _channel_matrix(scenario.sources, config, model)
-    n = scenario.snapshots
-    factor = _wishart_factor(
-        scenario.seed, trial, stage, scenario.source_count + config.element_count, n
-    )
-    powers = [src.power for src in scenario.sources]
-    mat = _factor_covariance(channel, powers, scenario.noise_variance, factor, n)
-    return CovarianceEstimate(mat, n, config)
+    k, n = scenario.source_count, scenario.snapshots
+    factor = _wishart_factor(scenario.seed, trial, stage, k + config.element_count, n)
+    mix = (channel * np.sqrt([src.power for src in scenario.sources])) @ factor[:k]
+    if scenario.noise_variance:
+        mix += np.sqrt(scenario.noise_variance) * factor[k:]
+    mat = mix @ mix.conj().T / n
+    return CovarianceEstimate(0.5 * (mat + mat.conj().T), n, config)
 
 
 # Binary snapshot interchange: little-endian header

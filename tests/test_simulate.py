@@ -453,7 +453,7 @@ class TestCovarianceDraw:
         z = np.vstack([signal / np.sqrt(np.array(powers)).reshape(-1, 1), unit_noise])
         keys = []
         with mock.patch.object(simulate, "_wishart_factor", lambda *key: keys.append(key) or z):
-            cov = draw_covariance(scen, stage, trial, coupled)
+            cov = draw_covariance(scen, stage, trial)
         assert keys == [(seed, trial, stage, len(sources) + 8, n)]
 
         block = GENERATE[stage](scen, trial, coupled)
