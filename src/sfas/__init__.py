@@ -67,6 +67,7 @@ from .simulate import (
     CovarianceEstimate,
     Scenario,
     SnapshotBlock,
+    draw_covariance,
     generate_snapshots_compressed,
     generate_snapshots_extended,
     load_snapshot_block,

@@ -401,7 +401,7 @@ class TestSampleCovariance:
 
 
 def small_array_scenario(sources, snapshots, **kw):
-    """An 8-element scene, with extended-stage coupling on request."""
+    """An 8-element scene; other keywords go to `Scenario`."""
     return Scenario(
         sources=sources,
         config_compressed=ArrayConfig(8, 0.5, 0.2),
@@ -409,13 +409,6 @@ def small_array_scenario(sources, snapshots, **kw):
         snapshots=snapshots,
         **kw,
     )
-
-
-GENERATE = {
-    "compressed": lambda scen, trial, coupled: generate_snapshots_compressed(scen, trial),
-    "extended": lambda scen, trial, coupled: generate_snapshots_extended(scen, coupled, trial),
-    "baseline": lambda scen, trial, coupled: generate_snapshots_baseline(scen, trial),
-}
 
 
 class TestCovarianceDraw:
@@ -456,7 +449,11 @@ class TestCovarianceDraw:
             cov = draw_covariance(scen, stage, trial)
         assert keys == [(seed, trial, stage, len(sources) + 8, n)]
 
-        block = GENERATE[stage](scen, trial, coupled)
+        block = {
+            "compressed": lambda: generate_snapshots_compressed(scen, trial),
+            "extended": lambda: generate_snapshots_extended(scen, coupled, trial),
+            "baseline": lambda: generate_snapshots_baseline(scen, trial),
+        }[stage]()
         oracle = sample_covariance(block).matrix
         assert cov.snapshot_count == n and cov.config == block.config
         np.testing.assert_allclose(cov.matrix, oracle, rtol=0, atol=1e-12 * abs(oracle).max())
