@@ -42,7 +42,7 @@ class CouplingModel:
         >= 0 (> 0 decays; a negative rate would grow the coupling with
         separation).
     phase_offset:
-        Constant phase added to every coefficient, radians.
+        Constant phase added to every coefficient, radians, finite.
     band:
         Number of nonzero off-diagonal lags P; coefficients beyond it are
         exactly zero.
@@ -65,6 +65,7 @@ class CouplingModel:
              f"0 <= reference_strength < 1 (got {self.reference_strength})"),
             (0.0 <= self.decay < np.inf,
              f"decay finite and >= 0 (got {self.decay})"),
+            (np.isfinite(self.phase_offset), f"phase_offset finite (got {self.phase_offset})"),
             (self.band >= 0, f"band >= 0 (got {self.band})"),
         ]
         broken = [rule for ok, rule in rules if not ok]

@@ -726,11 +726,7 @@ def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int
     U_n^H T of every column and every q as one product with the stack."""
     p = band + 1
     proj = (noise_stack @ manifold).reshape(p, -1, manifold.shape[1])
-    quad = np.empty((manifold.shape[1], p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i + 1):
-            quad[:, i, j] = np.einsum("ng,ng->g", proj[i].conj(), proj[j])
-            quad[:, j, i] = quad[:, i, j].conj()
+    quad = np.einsum("ing,jng->gij", proj.conj(), proj)
     return np.linalg.eigvalsh(quad)[:, 0].real
 
 

@@ -56,10 +56,10 @@ class ArrayConfig:
     element_count:
         Number of elements M (at least 2).
     baseline_spacing:
-        Baseline spacing d0 in wavelengths (default half-wavelength).
+        Baseline spacing d0 in wavelengths, finite and > 0 (default 0.5).
     scale:
-        Scaling factor applied to the baseline spacing; < 1 compresses the
-        array, > 1 extends it.
+        Scaling factor applied to the baseline spacing, finite and > 0;
+        < 1 compresses the array, > 1 extends it.
     """
 
     element_count: int
@@ -69,10 +69,11 @@ class ArrayConfig:
     def __post_init__(self):
         if self.element_count < 2:
             raise ValueError(f"element_count must be >= 2, got {self.element_count}")
-        if self.baseline_spacing <= 0:
-            raise ValueError(f"baseline_spacing must be > 0, got {self.baseline_spacing}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.baseline_spacing < np.inf:
+            raise ValueError(
+                f"baseline_spacing must be finite and > 0, got {self.baseline_spacing}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     @property
     def spacing(self) -> float:
@@ -92,10 +93,10 @@ class SourceTruth:
     angle:
         Direction of arrival in radians, strictly inside (-pi/2, pi/2).
     range:
-        Distance in wavelengths, > 0: from the array center, or from the
-        first element in the paper's single-source formulas.
+        Distance in wavelengths, in (0, 1e9] (`_MAX_RANGE_WL`): from the
+        array center, or from element 0 in the paper's single-source formulas.
     power:
-        Source signal power, > 0.
+        Source signal power, finite and > 0.
     """
 
     angle: float
@@ -105,10 +106,10 @@ class SourceTruth:
     def __post_init__(self):
         if not -np.pi / 2 < self.angle < np.pi / 2:
             raise ValueError(f"angle must lie in (-pi/2, pi/2) rad, got {self.angle}")
-        if self.range <= 0:
-            raise ValueError(f"range must be > 0, got {self.range}")
-        if self.power <= 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
+        if not 0 < self.range <= _MAX_RANGE_WL:
+            raise ValueError(f"range must be > 0 and <= {_MAX_RANGE_WL:g} wl, got {self.range}")
+        if not 0 < self.power < np.inf:
+            raise ValueError(f"power must be finite and > 0, got {self.power}")
 
     @classmethod
     def from_degrees(cls, angle_deg: float, range_wl: float, power: float = 1.0) -> "SourceTruth":

@@ -997,7 +997,7 @@ class TestCli:
         # trial or bound: near 1e154, r * r overflows in the manifold.
         huge = {
             base.replace("range: 5000.0", "range: 1.0e+160"):
-                "source 3 range 1e+160 exceeds 1e+09 wavelengths",
+                "sources[3]: range must be > 0 and <= 1e+09 wl, got 1e+160",
             f"{base}\nestimator: {{range_max: 1.0e+160}}\n":
                 "estimator: settings must satisfy range_max <= 1e+09 (got 1e+160)",
         }

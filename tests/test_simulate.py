@@ -10,7 +10,8 @@ from scipy.stats import ks_2samp
 
 from sfas import simulate
 from sfas.coupling import CouplingModel, coupling_matrix
-from sfas.geometry import ArrayConfig, SourceTruth, esg_steering_centered
+from sfas.crb import crb
+from sfas.geometry import ArrayConfig, SourceTruth, array_center, esg_steering_centered
 from sfas.simulate import (
     Scenario,
     SnapshotBlock,
@@ -70,22 +71,78 @@ class TestScenarioInvariants:
         cases = {
             "snr_db must be finite": dict(snr_db=float("nan")),
             "snr_db must be finite, or": dict(snr_db=-float("inf")),
-            "compressed baseline spacing and scale must be finite":
-                dict(config_compressed=ArrayConfig(32, 0.5, float("nan"))),
-            "extended baseline spacing and scale must be finite":
-                dict(config_extended=ArrayConfig(32, 0.5, float("inf"))),
-            "source 0 angle, range and power must be finite":
-                dict(sources=(SourceTruth.from_degrees(10.0, float("inf")),)),
         }
         for message, override in cases.items():
             with pytest.raises(ValueError, match=message):
                 Scenario(**{"sources": (source,), **override})
         assert Scenario(sources=(source,), snr_db=float("inf")).noise_variance == 0.0
+        # A non-finite config or source never reaches a scenario: its own
+        # type rejects it at construction (TestFieldRules).
 
     def test_noise_variance_from_snr(self):
         scen = single_source_scenario(snr_db=20.0)
         assert scen.noise_variance == pytest.approx(0.01)
         assert single_source_scenario(snr_db=float("inf")).noise_variance == 0.0
+
+
+# Field values each type must reject.  A range is bounded above too, by
+# 1e9 wl, because near 1e154 r * r overflows in the manifold.
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_NON_POSITIVE = _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)
+_BAD_FIELDS = [
+    (ArrayConfig, dict(element_count=32), "baseline_spacing", _NON_POSITIVE),
+    (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE),
+    (SourceTruth, dict(angle=0.1, range=100.0), "angle",
+     _NON_FINITE | st.floats(np.pi / 2, np.inf) | st.floats(-np.inf, -np.pi / 2)),
+    (SourceTruth, dict(angle=0.1, range=100.0), "range",
+     _NON_POSITIVE | st.floats(min_value=1e9, exclude_min=True)),
+    (SourceTruth, dict(angle=0.1, range=100.0), "power", _NON_POSITIVE),
+    (CouplingModel, {}, "decay", _NON_FINITE | st.floats(max_value=0.0, exclude_max=True)),
+    (CouplingModel, {}, "phase_offset", _NON_FINITE),
+]
+
+
+class TestFieldRules:
+    """Each value type rejects its own bad fields at construction, naming
+    the field, so no library caller can build what `Scenario` would refuse
+    and no accepted source breaks the exact-geometry bound."""
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: SourceTruth(0.1, np.inf), "range"),
+        (lambda: SourceTruth(0.1, 1e300), "range"),  # crashed crb with LinAlgError
+        (lambda: SourceTruth(0.1, 100.0, np.nan), "power"),
+        (lambda: ArrayConfig(32, 0.5, np.nan), "scale"),
+        (lambda: CouplingModel(phase_offset=np.nan), "phase_offset"),
+    ])
+    def test_pinned_bad_fields(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_field_rejected_by_its_type(self, data):
+        cls, others, field, bad = data.draw(st.sampled_from(_BAD_FIELDS), "field")
+        value = data.draw(bad, "value")
+        with pytest.raises(ValueError, match=field):
+            cls(**{**others, field: value})
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(
+        angle_deg=st.floats(-89.0, 89.0),
+        range_position=st.floats(0.0, 1.0),
+        power=st.floats(1e-3, 1e3),
+        m=st.integers(2, 32),
+        scale=st.sampled_from([0.2, 1.0, 2.0]),
+    )
+    def test_accepted_source_gives_a_bound(self, angle_deg, range_position, power, m, scale):
+        """The range is drawn log-uniformly from 1.01 x the half-aperture to
+        1e9 wl; a bound may be inf (no range curvature), never NaN or < 0."""
+        config = ArrayConfig(m, 0.5, scale)
+        low = np.log10(1.01 * array_center(config))
+        source_range = min(10.0 ** (low + range_position * (9.0 - low)), 1e9)
+        source = SourceTruth.from_degrees(angle_deg, source_range, power)
+        bound = crb([source], config, 100, 1.0)
+        assert np.all(bound.angle_variance >= 0.0) and np.all(bound.range_variance >= 0.0)
 
 
 class TestDeterminism:
