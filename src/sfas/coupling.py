@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, ff_manifold
+from .geometry import ArrayConfig, _integral, ff_manifold
 
 __all__ = [
     "CouplingModel",
@@ -44,8 +44,8 @@ class CouplingModel:
     phase_offset:
         Constant phase added to every coefficient, radians, finite.
     band:
-        Number of nonzero off-diagonal lags P; coefficients beyond it are
-        exactly zero.
+        Number of nonzero off-diagonal lags P, an integer >= 0; coefficients
+        beyond it are exactly zero.
     symmetric:
         If True the matrix is complex-symmetric (lower triangle repeats the
         upper coefficients); if False it is Hermitian (lower triangle is
@@ -66,7 +66,8 @@ class CouplingModel:
             (0.0 <= self.decay < np.inf,
              f"decay finite and >= 0 (got {self.decay})"),
             (np.isfinite(self.phase_offset), f"phase_offset finite (got {self.phase_offset})"),
-            (self.band >= 0, f"band >= 0 (got {self.band})"),
+            (_integral(self.band), f"band a whole number (got {self.band!r})"),
+            (not _integral(self.band) or self.band >= 0, f"band >= 0 (got {self.band})"),
         ]
         broken = [rule for ok, rule in rules if not ok]
         if broken:

@@ -318,7 +318,9 @@ def _covariance(block: SnapshotBlock | CovarianceEstimate) -> CovarianceEstimate
 def _far_field_scan(
     block: SnapshotBlock | CovarianceEstimate, trim: int, source_count: int, angle_grid_deg
 ):
-    """Far-field MUSIC spectrum of the central M - 2*trim rows/columns of the sample covariance."""
+    """Far-field MUSIC spectrum of the central M - 2*trim rows/columns of
+    the sample covariance, its denominator from the lag sums of the noise
+    projector (:func:`_lag_sum_cost`)."""
     if angle_grid_deg is None:
         angle_grid_deg = EstimatorSettings().angle_grid_deg()
     m = block.config.element_count
@@ -327,8 +329,26 @@ def _far_field_scan(
     decomp = decompose(CovarianceEstimate(central, cov.snapshot_count), source_count)
     grid = np.asarray(angle_grid_deg)
     manifold = _far_field_manifold(block.config, grid.dtype.str, grid.tobytes())
-    values = _spectrum(_noise_quadratic(decomp.noise_basis)(manifold[trim : m - trim, :]))
+    values = _spectrum(_lag_sum_cost(decomp.noise_basis, manifold))
     return SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
+
+
+def _lag_sum_cost(noise_basis: np.ndarray, manifold: np.ndarray) -> np.ndarray:
+    """||U_n^H a||^2 per far-field manifold column, for the M' rows of U_n.
+
+    On a uniform aperture a^H P a, P = U_n U_n^H, is the root-MUSIC
+    polynomial c_0 + 2 Re sum_l c_l a_l over lags l = 1..M'-1, with c_l the
+    sum of the l-th superdiagonal of P and a_l = exp(-j 2 pi l d sin(theta))
+    row l of the manifold (lags alone enter, so the subarray's offset does
+    not): one (1 x M') (M' x G) product in place of the (M' - K) x M' x G
+    projection of `_noise_quadratic`, its test oracle.
+    """
+    size = noise_basis.shape[0]
+    proj = noise_basis @ noise_basis.conj().T
+    rows, cols = np.triu_indices(size)
+    upper, lag = proj[rows, cols], cols - rows
+    sums = np.bincount(lag, upper.real, size) + 1j * np.bincount(lag, upper.imag, size)
+    return sums[0].real + 2.0 * (sums[1:] @ manifold[1:size]).real
 
 
 @functools.lru_cache(maxsize=4)
@@ -367,7 +387,10 @@ def stage2_range_search(
         np.array([float(coarse_angle_deg)]), ranges, np.zeros_like(cells), cells
     ))
     best = int(np.argmax(values))
-    flat = bool(values[best] < flat_spectrum_ratio * np.median(values))
+    # np.median's value, without the numpy.ma import its first call makes
+    ordered, half = np.sort(values), len(values) // 2
+    median = ordered[half] if len(values) % 2 else 0.5 * (ordered[half - 1] + ordered[half])
+    flat = bool(values[best] < flat_spectrum_ratio * median)
     grid = SpectrumGrid((ranges,), ("range_wl",), values)
     return RangeSearchResult(grid, float(range_grid[best]), flat)
 
@@ -424,6 +447,13 @@ def _around(index: int, size: int, half: int = 1) -> np.ndarray:
     return np.arange(max(index - half, 0), min(index + half + 1, size))
 
 
+def _sublattice(size: int) -> np.ndarray:
+    """Every _SUBLATTICE_STRIDE-th index of an axis and its last one,
+    ascending (`np.union1d` would import numpy.ma on its first call)."""
+    indices = np.arange(0, size, _SUBLATTICE_STRIDE)
+    return indices if indices[-1] == size - 1 else np.append(indices, size - 1)
+
+
 class _Lattice:
     """A pass lattice whose cost values are computed on demand, once per cell.
 
@@ -469,10 +499,7 @@ class _Lattice:
         full-resolution block around it, then descent."""
         n_a, n_r = self.values.shape
         s = _SUBLATTICE_STRIDE
-        i, j = self.best(
-            np.union1d(np.arange(0, n_a, s), [n_a - 1]),
-            np.union1d(np.arange(0, n_r, s), [n_r - 1]),
-        )
+        i, j = self.best(_sublattice(n_a), _sublattice(n_r))
         return self.descend(*self.best(_around(i, n_a, s), _around(j, n_r, s)))
 
 
@@ -535,13 +562,18 @@ def _search_passes(
     steps around the pass-1 cell at the pass-2 steps: the lattices a
     full-grid search fills.  Pass 1 takes the stride-5 sub-lattice, the
     full-resolution block around the sub-lattice minimum and descent from
-    there; pass 2 descends from the cell nearest the pass-1 cell.  Where
+    there; pass 2 descends from the cell nearest the vertex that the
+    sub-cell fit (:func:`_subcell_offsets`) puts near the pass-1 cell,
+    which is most often a step or two from where the descent ends.  Where
     the cost has one lattice local minimum per pass, the cells are the
     full-grid argmin.
     """
     pass1 = _Lattice(cost, *_pass1_lattice(coarse_angle_deg, initial_range, settings))
     i1, j1 = pass1.coarse_to_fine()
     angle1, range1 = pass1.angles_deg[i1], pass1.ranges[j1]
+    da, dr = _subcell_offsets(pass1.values, i1, j1)
+    vertex_a = angle1 + settings.pass1_angle_step_deg * da
+    vertex_r = range1 + settings.pass1_range_fraction * initial_range * dr
     ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
     pass2 = _Lattice(
         cost,
@@ -555,8 +587,8 @@ def _search_passes(
         ),
     )
     cell2 = pass2.descend(
-        int(np.argmin(np.abs(pass2.angles_deg - angle1))),
-        int(np.argmin(np.abs(pass2.ranges - range1))),
+        int(np.argmin(np.abs(pass2.angles_deg - vertex_a))),
+        int(np.argmin(np.abs(pass2.ranges - vertex_r))),
     )
     return pass1, (i1, j1), pass2, cell2
 
@@ -620,8 +652,12 @@ class _GridCost:
         """The cost at distinct cells (angles_deg[rows], ranges[cols]) of a
         lattice, from its column store.  A column does not depend on the
         batch it is computed in, so the manifold holds the bytes
-        `esg_manifold_centered` gives for the same cells.  Missing columns
-        are computed once, under the store's lock."""
+        `esg_manifold_centered` gives for the same cells.  A cell's cost
+        does: the BLAS product may round a column differently with the
+        width and offset of the batch (OpenBLAS did for 178 of 522 batches
+        tried at M = 32), so a change to which cells a walk asks for
+        together moves the last bits of costs whose columns stay fixed.
+        Missing columns are computed once, under the store's lock."""
         with _STORES_LOCK:
             store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
         with store.lock:

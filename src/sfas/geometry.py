@@ -47,6 +47,11 @@ TWO_PI = 2.0 * np.pi
 _MAX_RANGE_WL = 1e9
 
 
+def _integral(value) -> bool:
+    """An int or a numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array whose inter-element spacing scales by a factor.
@@ -54,7 +59,7 @@ class ArrayConfig:
     Attributes
     ----------
     element_count:
-        Number of elements M (at least 2).
+        Number of elements M, an integer >= 2.
     baseline_spacing:
         Baseline spacing d0 in wavelengths, finite and > 0 (default 0.5).
     scale:
@@ -67,6 +72,8 @@ class ArrayConfig:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not _integral(self.element_count):
+            raise ValueError(f"element_count must be a whole number, got {self.element_count!r}")
         if self.element_count < 2:
             raise ValueError(f"element_count must be >= 2, got {self.element_count}")
         if not 0 < self.baseline_spacing < np.inf:

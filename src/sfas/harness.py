@@ -342,16 +342,29 @@ def _scenario_from_dict(top: dict, problems: list[str]) -> Scenario | None:
     coupling_ext = top.get("extended_coupling")
     if coupling_ext is not None:
         coupling_ext = _fields_from_dict(CouplingModel, coupling_ext, "extended_coupling", problems)
+    # The shared fields first, then each scale, so a message names its key.
+    comp, ext = Scenario.config_compressed, Scenario.config_extended
+    configs = {}
+    try:
+        shared = ArrayConfig(
+            arr.get("element_count", comp.element_count),
+            arr.get("baseline_spacing", comp.baseline_spacing),
+        )
+    except ValueError as exc:
+        problems.append(f"array: {exc}")
+    else:
+        for key, default in (("scale_compressed", comp.scale), ("scale_extended", ext.scale)):
+            try:
+                configs[key] = shared.with_scale(arr.get(key, default))
+            except ValueError as exc:
+                problems.append(f"array: {key}: {exc}")
     if problems:
         return None
-    comp, ext = Scenario.config_compressed, Scenario.config_extended
-    m = arr.get("element_count", comp.element_count)
-    d0 = arr.get("baseline_spacing", comp.baseline_spacing)
     try:
         return Scenario(
             sources=tuple(sources),
-            config_compressed=ArrayConfig(m, d0, arr.get("scale_compressed", comp.scale)),
-            config_extended=ArrayConfig(m, d0, arr.get("scale_extended", ext.scale)),
+            config_compressed=configs["scale_compressed"],
+            config_extended=configs["scale_extended"],
             coupling=coupling,
             coupling_extended=coupling_ext,
             **{k: top[k] for k in ("snapshots", "snr_db", "seed", "label") if k in top},

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import CouplingModel, coupling_matrix
-from .geometry import ArrayConfig, SourceTruth, array_center, esg_steering_centered
+from .geometry import ArrayConfig, SourceTruth, _integral, array_center, esg_steering_centered
 
 __all__ = [
     "Scenario",
@@ -116,10 +116,12 @@ class Scenario:
                     f"source {i} range {src.range} is inside the extended "
                     f"half-aperture {reach}"
                 )
-        if self.snapshots < 1:
-            problems.append(f"snapshots must be >= 1, got {self.snapshots}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("snapshots", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _integral(value):
+                problems.append(f"{name} must be a whole number, got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}, got {value}")
         return problems
 
     @property

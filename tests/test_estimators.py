@@ -39,6 +39,7 @@ from sfas.estimators import (
     _on_mesh,
     _plain_cost,
     _search_passes,
+    _subcell_offsets,
 )
 from sfas.geometry import (
     ArrayConfig,
@@ -405,11 +406,23 @@ class TestSparseRefinement:
         values1, full1 = full_grid_argmin(cost, pass1.angles_deg, pass1.ranges)
         assert_full_grid_cell(values1, cell1, full1, sublattice_minimum(values1))
         values2, full2 = full_grid_argmin(cost, pass2.angles_deg, pass2.ranges)
-        start = (
-            np.argmin(np.abs(pass2.angles_deg - pass1.angles_deg[cell1[0]])),
-            np.argmin(np.abs(pass2.ranges - pass1.ranges[cell1[1]])),
+        # pass 2 descends from the cell nearest the vertex fitted to the
+        # pass-1 patch
+        da, dr = _subcell_offsets(pass1.values, *cell1)
+        angle1, range1 = pass1.angles_deg[cell1[0]], pass1.ranges[cell1[1]]
+        vertex = (
+            angle1 + SETTINGS.pass1_angle_step_deg * da,
+            range1 + SETTINGS.pass1_range_fraction * initial * dr,
         )
-        assert_full_grid_cell(values2, cell2, full2, values2[start])
+        axes2 = (pass2.angles_deg, pass2.ranges)
+        warm = tuple(int(np.argmin(np.abs(axis - x))) for axis, x in zip(axes2, vertex))
+        assert_full_grid_cell(values2, cell2, full2, values2[warm])
+        # from the cell nearest the pass-1 cell, the start it replaced, the
+        # descent ends on the same cell wherever the lattice holds one local
+        # minimum (where it holds more, either start may end on either)
+        cold = tuple(int(np.argmin(np.abs(axis - x))) for axis, x in zip(axes2, (angle1, range1)))
+        if len(lattice_local_minima(values2)) == 1:
+            assert _Lattice(cost, pass2.angles_deg, pass2.ranges).descend(*cold) == cell2
         # every value the sparse search read is the full-grid value, up to
         # rounding on the scale of the column energy M
         seen = ~np.isnan(pass2.values)
@@ -817,6 +830,60 @@ class TestSpectrumSanity:
         proj = basis.conj().T @ manifold
         oracle = np.einsum("ij,ij->j", proj.conj(), proj).real
         assert estimators._noise_quadratic(basis)(manifold).tobytes() == oracle.tobytes()
+
+
+class TestLagSums:
+    """The far-field scan's lag-sum denominator against the projection it
+    replaces, `_noise_quadratic` on the manifold rows."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lag_sum_cost_matches_noise_quadratic(self, data):
+        size = data.draw(st.integers(4, 40), "M'")
+        k = data.draw(st.integers(1, size - 1), "sources")
+        trim = data.draw(st.integers(0, 4), "trim")
+        config = ArrayConfig(size + 2 * trim, 0.5, data.draw(st.sampled_from((0.2, 0.5, 1.0))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        grid = estimators._step_grid(-90.0, 90.0, data.draw(st.sampled_from((0.1, 0.25, 1.0))))
+        manifold = ff_manifold(np.deg2rad(grid), config)
+        rows = manifold[trim : trim + size]
+        # a signal subspace through on-grid sources, where the cost is ~0,
+        # completed by random directions; the noise basis is its complement
+        on_grid = rng.choice(len(grid), min(k, len(grid)), replace=False)
+        spread = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        spread[:, : len(on_grid)] = rows[:, on_grid]
+        noise = np.linalg.qr(spread)[0][:, k:]
+        proj = noise @ noise.conj().T
+        largest = max(abs(np.trace(proj, offset=lag)) for lag in range(size))
+        tol = 8.0 * size**2 * np.finfo(float).eps * largest
+        oracle = estimators._noise_quadratic(noise)(rows)
+        np.testing.assert_allclose(
+            estimators._lag_sum_cost(noise, manifold), oracle, rtol=0.0, atol=tol
+        )
+        assert np.all(oracle[on_grid] <= tol)
+
+    @pytest.mark.parametrize("angles", [(-40.0, -20.0, 10.0, 30.0), (0.0,), (-63.2, 71.5)])
+    def test_noiseless_on_grid_peaks_do_not_move(self, angles):
+        scen = Scenario(
+            sources=tuple(SourceTruth.from_degrees(a, 1e6) for a in angles),
+            snapshots=200,
+            snr_db=float("inf"),
+            seed=11,
+        )
+        k, grid = len(angles), SETTINGS.angle_grid_deg()
+        for block, trim in (
+            (generate_snapshots_compressed(scen), 2),
+            (generate_snapshots_baseline(scen), 0),
+        ):
+            scan = estimators._far_field_scan(block, trim, k, grid)
+            m = block.config.element_count
+            central = sample_covariance(block).matrix[trim : m - trim, trim : m - trim]
+            noise = decompose(CovarianceEstimate(central, 200), k).noise_basis
+            rows = ff_manifold(np.deg2rad(grid), block.config)[trim : m - trim]
+            oracle = estimators._spectrum(estimators._noise_quadratic(noise)(rows))
+            peaks = find_spectrum_peaks(grid, scan.values, k)
+            assert peaks.tolist() == find_spectrum_peaks(grid, oracle, k).tolist()
+            assert peaks.tolist() == sorted(angles)
 
 
 class TestColumnCache:

@@ -974,6 +974,10 @@ class TestCli:
             "snr_db: .nan": "snr_db must be finite or .inf, got nan",
             "snr_db: -.inf": "snr_db must be finite or .inf, got -inf",
             "array: {scale_compressed: .nan}": "array: scale_compressed must be finite, got nan",
+            "array: {scale_compressed: -1}":
+                "array: scale_compressed: scale must be finite and > 0, got -1.0",
+            "array: {scale_extended: 0}": "array: scale_extended: scale must be finite and > 0",
+            "array: {element_count: 1}": "array: element_count must be >= 2, got 1",
             "sources: [{angle_deg: 10.0, range: .inf}]":
                 "sources[0]: range must be finite, got inf",
             "estimator: {flat_spectrum_ratio: .nan}":

@@ -89,6 +89,9 @@ class TestScenarioInvariants:
 # 1e9 wl, because near 1e154 r * r overflows in the manifold.
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 _NON_POSITIVE = _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)
+# A count or seed is an int or a numpy integer: a float, even 3.0, a bool
+# or text is not one.
+_NOT_WHOLE = st.booleans() | st.floats(2.0, 1e6) | st.sampled_from([np.float64(32.0), "32"])
 _BAD_FIELDS = [
     (ArrayConfig, dict(element_count=32), "baseline_spacing", _NON_POSITIVE),
     (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE),
@@ -99,6 +102,10 @@ _BAD_FIELDS = [
     (SourceTruth, dict(angle=0.1, range=100.0), "power", _NON_POSITIVE),
     (CouplingModel, {}, "decay", _NON_FINITE | st.floats(max_value=0.0, exclude_max=True)),
     (CouplingModel, {}, "phase_offset", _NON_FINITE),
+    (ArrayConfig, {}, "element_count", _NOT_WHOLE),
+    (CouplingModel, {}, "band", _NOT_WHOLE),
+    (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots", _NOT_WHOLE),
+    (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "seed", _NOT_WHOLE),
 ]
 
 
@@ -113,6 +120,9 @@ class TestFieldRules:
         (lambda: SourceTruth(0.1, 100.0, np.nan), "power"),
         (lambda: ArrayConfig(32, 0.5, np.nan), "scale"),
         (lambda: CouplingModel(phase_offset=np.nan), "phase_offset"),
+        (lambda: CouplingModel(band=2.5), "band"),  # failed later slicing the matrix
+        (lambda: Scenario((SourceTruth(0.1, 100.0),), seed=1.5), "seed"),  # ran silently
+        (lambda: ArrayConfig(32.5), "element_count"),
     ])
     def test_pinned_bad_fields(self, make, field):
         with pytest.raises(ValueError, match=field):
@@ -125,6 +135,14 @@ class TestFieldRules:
         value = data.draw(bad, "value")
         with pytest.raises(ValueError, match=field):
             cls(**{**others, field: value})
+
+    def test_numpy_integers_are_counts(self):
+        config = ArrayConfig(np.int64(16), 0.5, 0.2)
+        scenario = Scenario(
+            (SourceTruth(0.1, 100.0),), config, config.with_scale(2.0),
+            CouplingModel(band=np.int32(1)), snapshots=np.int64(40), seed=np.uint32(7),
+        )
+        assert scenario.snapshots == 40 and scenario.seed == 7
 
     @hyp_settings(max_examples=150, deadline=None)
     @given(
