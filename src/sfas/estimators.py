@@ -571,24 +571,19 @@ def _search_passes(
     pass1 = _Lattice(cost, *_pass1_lattice(coarse_angle_deg, initial_range, settings))
     i1, j1 = pass1.coarse_to_fine()
     angle1, range1 = pass1.angles_deg[i1], pass1.ranges[j1]
-    da, dr = _subcell_offsets(pass1.values, i1, j1)
-    vertex_a = angle1 + settings.pass1_angle_step_deg * da
-    vertex_r = range1 + settings.pass1_range_fraction * initial_range * dr
+    step1_a, step1_r = settings.pass1_angle_step_deg, settings.pass1_range_fraction * initial_range
     ang_lo, ang_hi, rng_lo, rng_hi = _refine_window(coarse_angle_deg, initial_range, settings)
     pass2 = _Lattice(
         cost,
+        _window_grid(angle1, 1.5 * step1_a, settings.pass2_angle_step_deg, ang_lo, ang_hi),
         _window_grid(
-            angle1, 1.5 * settings.pass1_angle_step_deg, settings.pass2_angle_step_deg,
-            ang_lo, ang_hi,
-        ),
-        _window_grid(
-            range1, 1.5 * (settings.pass1_range_fraction * initial_range),
-            settings.pass2_range_fraction * initial_range, rng_lo, rng_hi,
+            range1, 1.5 * step1_r, settings.pass2_range_fraction * initial_range, rng_lo, rng_hi
         ),
     )
+    da, dr = _subcell_offsets(pass1.values, i1, j1)
     cell2 = pass2.descend(
-        int(np.argmin(np.abs(pass2.angles_deg - vertex_a))),
-        int(np.argmin(np.abs(pass2.ranges - vertex_r))),
+        int(np.argmin(np.abs(pass2.angles_deg - (angle1 + step1_a * da)))),
+        int(np.argmin(np.abs(pass2.ranges - (range1 + step1_r * dr)))),
     )
     return pass1, (i1, j1), pass2, cell2
 
