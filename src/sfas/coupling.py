@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayConfig, _integral, ff_manifold
+from .geometry import ArrayConfig, _integral, _require_real, ff_manifold
 
 __all__ = [
     "CouplingModel",
@@ -60,6 +60,7 @@ class CouplingModel:
     symmetric: bool = False
 
     def __post_init__(self):
+        _require_real(self, "reference_strength", "decay", "phase_offset")
         rules = [
             (0.0 <= self.reference_strength < 1.0,
              f"0 <= reference_strength < 1 (got {self.reference_strength})"),

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _MAX_RANGE_WL, ArrayConfig, esg_manifold_centered, ff_manifold
+from .geometry import _MAX_RANGE_WL, ArrayConfig, _integral, esg_manifold_centered, ff_manifold
 from .simulate import CovarianceEstimate, SnapshotBlock, sample_covariance
 
 __all__ = [
@@ -754,15 +754,74 @@ def _mc_noise_stack(noise_basis: np.ndarray, band: int) -> np.ndarray:
 
 def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int) -> np.ndarray:
     """lambda_min(T^H U_n U_n^H T) per manifold column, with the projection
-    U_n^H T of every column and every q as one product with the stack."""
-    p = band + 1
-    proj = (noise_stack @ manifold).reshape(p, -1, manifold.shape[1])
-    quad = np.einsum("ing,jng->gij", proj.conj(), proj)
-    return np.linalg.eigvalsh(quad)[:, 0].real
+    U_n^H T of every column and every q as one product with the stack.
+
+    At band 2 the Gram is 3 x 3, and `_min_eigenvalues_3x3` takes lambda_min
+    from the trigonometric roots of its characteristic cubic (Smith 1961)
+    instead of a batched `eigvalsh`.  That root loses accuracy where the two
+    smallest eigenvalues meet: an O(eps) error in the determinant moves it
+    by O(sqrt eps), about 1e-8 lambda_max at a relative gap of 1e-6 (Kopp
+    2008, arXiv:physics/0610206).  So a cell whose computed gap
+    lambda_mid - lambda_min is below `_CUBIC_GAP` of lambda_max goes through
+    `_stack_min_eigenvalues`, the `eigvalsh` of the explicit Gram stack that
+    every other band takes; above the gap the two agree to about
+    1e-13 lambda_max."""
+    proj = (noise_stack @ manifold).reshape(band + 1, -1, manifold.shape[1])
+    return _min_eigenvalues_3x3(proj) if band == 2 else _stack_min_eigenvalues(proj)
+
+
+def _stack_min_eigenvalues(proj: np.ndarray) -> np.ndarray:
+    """lambda_min of each Gram proj[:, :, g]^H proj[:, :, g], one batched
+    `eigvalsh` over the (G, p, p) stack."""
+    return np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))[:, 0]
+
+
+# The share of lambda_max below which the gap lambda_mid - lambda_min sends
+# a cell from the closed form to `eigvalsh`.
+_CUBIC_GAP = 1e-3
+
+
+def _min_eigenvalues_3x3(proj: np.ndarray) -> np.ndarray:
+    """lambda_min of each 3 x 3 Gram A = proj[:, :, g]^H proj[:, :, g].
+
+    The six distinct entries come straight from the (3, n, G) projection:
+    the diagonal as squared column norms, the upper triangle as three
+    column dot products.  With m = tr(A)/3, B = A - m I, h = sqrt(tr(B^2)/6)
+    and phi = arccos(det(B) / 2h^3)/3, the eigenvalues are
+    m + 2h cos(phi + 2 pi k/3), largest at k = 0 and smallest at k = 1.
+    Cells with a gap below `_CUBIC_GAP` (or NaN) take
+    `_stack_min_eigenvalues`.  The two largest meeting (phi -> pi/3) costs
+    no accuracy, since d lambda_min / d phi vanishes there.
+    """
+    p0, p1, p2 = proj
+    diag = np.einsum("png,png->pg", proj.real, proj.real)
+    diag += np.einsum("png,png->pg", proj.imag, proj.imag)
+    c0 = p0.conj()
+    g01 = np.einsum("ng,ng->g", c0, p1)
+    g02 = np.einsum("ng,ng->g", c0, p2)
+    g12 = np.einsum("ng,ng->g", p1.conj(), p2)
+    mean = diag.sum(axis=0) / 3.0
+    b0, b1, b2 = diag - mean
+    s01 = g01.real**2 + g01.imag**2
+    s02 = g02.real**2 + g02.imag**2
+    s12 = g12.real**2 + g12.imag**2
+    half = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (s01 + s02 + s12)) / 6.0)
+    det = b0 * (b1 * b2 - s12) - b1 * s02 - b2 * s01 + 2.0 * (g01 * g12 * g02.conj()).real
+    # a scalar Gram has half = det = 0: the ratio is then 0, not NaN
+    ratio = det / np.maximum(2.0 * half**3, np.finfo(float).tiny)
+    phi = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
+    lam_max = mean + 2.0 * half * np.cos(phi)
+    lam_min = mean + 2.0 * half * np.cos(phi + 2.0 * np.pi / 3.0)
+    fallback = ~(3.0 * mean - lam_max - 2.0 * lam_min >= _CUBIC_GAP * lam_max)
+    if fallback.any():
+        lam_min[fallback] = _stack_min_eigenvalues(proj[:, :, fallback])
+    return lam_min
 
 
 def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
     m = config.element_count
+    if not _integral(band):
+        raise ValueError(f"band must be a whole number, got {band!r}")
     if not 1 <= band <= m - 1:
         raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
     stack = _mc_noise_stack(decomp.noise_basis, band)

@@ -52,6 +52,15 @@ def _integral(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_real(obj, *names: str) -> None:
+    """Reject, by name, each field of `obj` that is not an int, a float or a
+    numpy real (a bool is not a quantity), before a rule compares it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array whose inter-element spacing scales by a factor.
@@ -76,6 +85,7 @@ class ArrayConfig:
             raise ValueError(f"element_count must be a whole number, got {self.element_count!r}")
         if self.element_count < 2:
             raise ValueError(f"element_count must be >= 2, got {self.element_count}")
+        _require_real(self, "baseline_spacing", "scale")
         if not 0 < self.baseline_spacing < np.inf:
             raise ValueError(
                 f"baseline_spacing must be finite and > 0, got {self.baseline_spacing}")
@@ -111,6 +121,7 @@ class SourceTruth:
     power: float = 1.0
 
     def __post_init__(self):
+        _require_real(self, "angle", "range", "power")
         if not -np.pi / 2 < self.angle < np.pi / 2:
             raise ValueError(f"angle must lie in (-pi/2, pi/2) rad, got {self.angle}")
         if not 0 < self.range <= _MAX_RANGE_WL:

@@ -31,7 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import CouplingModel, coupling_matrix
-from .geometry import ArrayConfig, SourceTruth, _integral, array_center, esg_steering_centered
+from .geometry import (
+    ArrayConfig, SourceTruth, _integral, _require_real, array_center, esg_steering_centered
+)
 
 __all__ = [
     "Scenario",
@@ -67,6 +69,7 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
+        _require_real(self, "snr_db")
         problems = self.validation_errors()
         if problems:
             raise ValueError("invalid scenario: " + "; ".join(problems))

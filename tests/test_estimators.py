@@ -36,9 +36,11 @@ from sfas.estimators import (
     _Lattice,
     _around,
     _mc_cost,
+    _min_eigenvalues_3x3,
     _on_mesh,
     _plain_cost,
     _search_passes,
+    _stack_min_eigenvalues,
     _subcell_offsets,
 )
 from sfas.geometry import (
@@ -328,6 +330,35 @@ class TestQuadraticFit:
         np.testing.assert_allclose(fit, oracle, rtol=0, atol=1e-13 * max(1.0, abs(values).max()))
 
 
+def draw_refine_window(data, band):
+    """A drawn scene of 1-3 sources with symmetric extended coupling of
+    `band` (none for None), its extended decomposition and array config,
+    and a refinement seed (coarse angle, initial range) near one source."""
+    m = data.draw(st.sampled_from((12, 16, 32)), "elements")
+    k = data.draw(st.integers(1, 3), "sources")
+    angles = np.sort(data.draw(st.lists(
+        st.floats(-60.0, 60.0), min_size=k, max_size=k,
+        unique_by=lambda a: round(a / 8.0)), "angles"))
+    extended = ArrayConfig(m, 0.5, 2.0)
+    near = 1.5 * array_center(extended)
+    ranges = [data.draw(st.floats(near, 3000.0), "range") for _ in range(k)]
+    scen = Scenario(
+        sources=tuple(SourceTruth.from_degrees(a, r) for a, r in zip(angles, ranges)),
+        config_compressed=ArrayConfig(m, 0.5, 0.2),
+        config_extended=extended,
+        coupling=CouplingModel(band=1),
+        coupling_extended=None if band is None else CouplingModel(0.3, 1.0, 0.0, band, True),
+        snapshots=data.draw(st.integers(50, 500), "snapshots"),
+        snr_db=data.draw(st.sampled_from((-5.0, 5.0, 20.0, float("inf"))), "snr_db"),
+        seed=data.draw(st.integers(0, 2**32 - 1), "seed"),
+    )
+    dec, block = extended_decomp(scen, include_coupling=band is not None)
+    src = data.draw(st.integers(0, k - 1), "window source")
+    coarse = angles[src] + data.draw(st.floats(-1.0, 1.0), "angle offset")
+    initial = ranges[src] * data.draw(st.floats(0.8, 1.25), "range factor")
+    return dec, block.config, coarse, initial
+
+
 def full_grid_argmin(cost, angles_deg, ranges):
     """Every cell of one pass lattice and the `np.argmin` cell: the search
     the sparse lattice search replaces."""
@@ -376,31 +407,10 @@ class TestSparseRefinement:
     @hyp_settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_full_grid_argmin_in_both_passes(self, data):
-        m = data.draw(st.sampled_from((12, 16, 32)), "elements")
-        k = data.draw(st.integers(1, 3), "sources")
-        angles = np.sort(data.draw(st.lists(
-            st.floats(-60.0, 60.0), min_size=k, max_size=k,
-            unique_by=lambda a: round(a / 8.0)), "angles"))
-        extended = ArrayConfig(m, 0.5, 2.0)
-        near = 1.5 * array_center(extended)
-        ranges = [data.draw(st.floats(near, 3000.0), "range") for _ in range(k)]
         band = data.draw(st.sampled_from((None, 1, 2)), "mc_band")
-        scen = Scenario(
-            sources=tuple(SourceTruth.from_degrees(a, r) for a, r in zip(angles, ranges)),
-            config_compressed=ArrayConfig(m, 0.5, 0.2),
-            config_extended=extended,
-            coupling=CouplingModel(band=1),
-            coupling_extended=None if band is None else CouplingModel(0.3, 1.0, 0.0, band, True),
-            snapshots=data.draw(st.integers(50, 500), "snapshots"),
-            snr_db=data.draw(st.sampled_from((-5.0, 5.0, 20.0, float("inf"))), "snr_db"),
-            seed=data.draw(st.integers(0, 2**32 - 1), "seed"),
-        )
-        dec, block = extended_decomp(scen, include_coupling=band is not None)
-        config = block.config
+        dec, config, coarse, initial = draw_refine_window(data, band)
+        m = config.element_count
         cost = _plain_cost(dec, config) if band is None else _mc_cost(dec, band, config)
-        src = data.draw(st.integers(0, k - 1), "window source")
-        coarse = angles[src] + data.draw(st.floats(-1.0, 1.0), "angle offset")
-        initial = ranges[src] * data.draw(st.floats(0.8, 1.25), "range factor")
 
         pass1, cell1, pass2, cell2 = _search_passes(cost, coarse, initial, SETTINGS)
         values1, full1 = full_grid_argmin(cost, pass1.angles_deg, pass1.ranges)
@@ -577,6 +587,62 @@ class TestMcMusic:
         fast = _mc_min_eigenvalues(_mc_noise_stack(noise, band), manifold, band)
         assert fast.shape == (cols,)
         assert np.all(np.abs(fast - lam[:, 0]) <= 1e-12 * lam[:, -1])
+
+    @hyp_settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_near_repeated_eigenvalues(self, data):
+        """The 3 x 3 closed form on Grams X diag(lam) X^H whose two smallest
+        or two largest eigenvalues (nearly) meet, or whose smallest is about
+        0, against `eigvalsh` of the same Gram, to the oracle tolerance."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cells = data.draw(st.integers(1, 24))
+        n = data.draw(st.integers(3, 30))
+        gap = data.draw(st.just(0.0) | st.floats(-15.0, -1.0).map(lambda e: 10.0**e))
+        kind = data.draw(st.sampled_from(("smallest meet", "largest meet", "smallest zero")))
+        spread = gap * rng.uniform(0.5, 2.0, cells)
+        if kind == "smallest meet":
+            low = rng.uniform(0.0, 0.5, cells)
+            lam = np.stack([low, low + spread, np.ones(cells)], axis=1)
+        elif kind == "largest meet":
+            lam = np.stack([rng.uniform(0.0, 0.99, cells), 1.0 - spread, np.ones(cells)], axis=1)
+        else:
+            lam = np.stack([spread, rng.uniform(0.0, 1.0, cells), np.ones(cells)], axis=1)
+        lam *= 10.0 ** rng.uniform(-3.0, 3.0, (cells, 1))
+
+        def orthonormal(rows):
+            z = rng.standard_normal((cells, rows, 3)) + 1j * rng.standard_normal((cells, rows, 3))
+            return np.linalg.qr(z)[0]
+
+        # proj[:, :, g]^T = Q sqrt(lam) X^H, so the Gram is X diag(lam) X^H
+        x, q = orthonormal(3), orthonormal(n)
+        w = q @ (np.sqrt(lam)[:, :, None] * x.conj().transpose(0, 2, 1))
+        proj = np.ascontiguousarray(w.transpose(2, 1, 0))
+        oracle = np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))
+        fast = _min_eigenvalues_3x3(proj)
+        assert np.all(np.abs(fast - oracle[:, 0]) <= 1e-12 * oracle[:, -1])
+
+    @hyp_settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_leaves_refinement_cells(self, data):
+        """Band 2 searches end on the same pass-1 and pass-2 cells with the
+        closed form as with `eigvalsh` in its place."""
+        dec, config, coarse, initial = draw_refine_window(data, 2)
+
+        def cells():
+            _, cell1, _, cell2 = _search_passes(_mc_cost(dec, 2, config), coarse, initial, SETTINGS)
+            return cell1, cell2
+
+        fast = cells()
+        with mock.patch.object(estimators, "_min_eigenvalues_3x3", _stack_min_eigenvalues):
+            assert cells() == fast
+
+    def test_band_must_be_whole(self, coupled_extended_scenario):
+        # 2.0 used to fail inside the transform, and True ran as band 1
+        dec, _ = extended_decomp(coupled_extended_scenario, include_coupling=True)
+        config = coupled_extended_scenario.config_extended
+        for band in (2.0, np.float64(2.0), True):
+            with pytest.raises(ValueError, match="band"):
+                mc_music_refine(dec, 10.5, 180.0, band, config, SETTINGS)
 
     def test_band_must_be_positive(self, coupled_extended_scenario):
         dec, _ = extended_decomp(coupled_extended_scenario, include_coupling=True)

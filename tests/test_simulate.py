@@ -92,16 +92,25 @@ _NON_POSITIVE = _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value
 # A count or seed is an int or a numpy integer: a float, even 3.0, a bool
 # or text is not one.
 _NOT_WHOLE = st.booleans() | st.floats(2.0, 1e6) | st.sampled_from([np.float64(32.0), "32"])
+# A real field takes an int, a float or a numpy real: a bool, text, None or
+# a complex number is not one, and fails before any rule compares it.
+_NOT_REAL = st.booleans() | st.text() | st.sampled_from([None, 1j, "0.3"])
 _BAD_FIELDS = [
-    (ArrayConfig, dict(element_count=32), "baseline_spacing", _NON_POSITIVE),
-    (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE),
+    (ArrayConfig, dict(element_count=32), "baseline_spacing", _NON_POSITIVE | _NOT_REAL),
+    (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE | _NOT_REAL),
     (SourceTruth, dict(angle=0.1, range=100.0), "angle",
-     _NON_FINITE | st.floats(np.pi / 2, np.inf) | st.floats(-np.inf, -np.pi / 2)),
+     _NON_FINITE | st.floats(np.pi / 2, np.inf) | st.floats(-np.inf, -np.pi / 2) | _NOT_REAL),
     (SourceTruth, dict(angle=0.1, range=100.0), "range",
-     _NON_POSITIVE | st.floats(min_value=1e9, exclude_min=True)),
-    (SourceTruth, dict(angle=0.1, range=100.0), "power", _NON_POSITIVE),
-    (CouplingModel, {}, "decay", _NON_FINITE | st.floats(max_value=0.0, exclude_max=True)),
-    (CouplingModel, {}, "phase_offset", _NON_FINITE),
+     _NON_POSITIVE | st.floats(min_value=1e9, exclude_min=True) | _NOT_REAL),
+    (SourceTruth, dict(angle=0.1, range=100.0), "power", _NON_POSITIVE | _NOT_REAL),
+    (CouplingModel, {}, "reference_strength",
+     _NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0)
+     | _NOT_REAL),
+    (CouplingModel, {}, "decay",
+     _NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | _NOT_REAL),
+    (CouplingModel, {}, "phase_offset", _NON_FINITE | _NOT_REAL),
+    (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snr_db",
+     st.sampled_from([np.nan, -np.inf]) | _NOT_REAL),
     (ArrayConfig, {}, "element_count", _NOT_WHOLE),
     (CouplingModel, {}, "band", _NOT_WHOLE),
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots", _NOT_WHOLE),
@@ -123,6 +132,10 @@ class TestFieldRules:
         (lambda: CouplingModel(band=2.5), "band"),  # failed later slicing the matrix
         (lambda: Scenario((SourceTruth(0.1, 100.0),), seed=1.5), "seed"),  # ran silently
         (lambda: ArrayConfig(32.5), "element_count"),
+        # text used to fail in a comparison with a TypeError naming no field
+        (lambda: CouplingModel(reference_strength="0.3"), "reference_strength"),
+        (lambda: CouplingModel(decay="1"), "decay"),
+        (lambda: Scenario((SourceTruth(0.1, 100.0),), snr_db="20"), "snr_db"),
     ])
     def test_pinned_bad_fields(self, make, field):
         with pytest.raises(ValueError, match=field):
