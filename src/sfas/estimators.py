@@ -18,12 +18,14 @@ from __future__ import annotations
 import functools
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .geometry import _MAX_RANGE_WL, ArrayConfig, _integral, esg_manifold_centered, ff_manifold
+from .geometry import (
+    _MAX_RANGE_WL, ArrayConfig, _integral, _require_real, esg_manifold_centered, ff_manifold
+)
 from .simulate import CovarianceEstimate, SnapshotBlock, sample_covariance
 
 __all__ = [
@@ -75,7 +77,9 @@ _MAX_AXIS_POINTS = 10**6
 class EstimatorSettings:
     """Grids, windows and peak policy for the two-stage search.
 
-    `trim` of None defers to the coupling band of the scenario in play.
+    `trim` of None defers to the coupling band of the scenario in play;
+    it and `range_points` are whole numbers, every other field a real
+    number, each checked by name before any rule compares it.
     The two refinement passes use (angle step in degrees, range step as a
     fraction of the initial range estimate); each step must fit the span
     it steps across: the window for pass 1, 1.5 pass-1 steps for pass 2.
@@ -98,6 +102,10 @@ class EstimatorSettings:
     flat_spectrum_ratio: float = 3.0
 
     def __post_init__(self):
+        _require_real(self, *(f.name for f in fields(self) if isinstance(f.default, float)))
+        for name, value in (("trim", self.trim), ("range_points", self.range_points)):
+            if not (_integral(value) or name == "trim" and value is None):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         steps = (
             "angle_step_deg", "window_angle_deg", "pass1_angle_step_deg",
             "pass1_range_fraction", "pass2_angle_step_deg", "pass2_range_fraction",
@@ -144,10 +152,19 @@ class EstimatorSettings:
         return _step_grid(self.angle_min_deg, self.angle_max_deg, self.angle_step_deg)
 
     def range_grid(self) -> np.ndarray:
-        return np.geomspace(self.range_min, self.range_max, self.range_points)
+        return _range_grid(self.range_min, self.range_max, self.range_points).copy()
 
     def resolve_trim(self, coupling_band: int) -> int:
         return self.trim if self.trim is not None else coupling_band
+
+
+@functools.lru_cache(maxsize=4)
+def _range_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """`EstimatorSettings.range_grid`, built once per (lo, hi, points) and
+    shared read-only."""
+    grid = np.geomspace(lo, hi, points)
+    grid.flags.writeable = False
+    return grid
 
 
 def _step_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -345,10 +362,21 @@ def _lag_sum_cost(noise_basis: np.ndarray, manifold: np.ndarray) -> np.ndarray:
     """
     size = noise_basis.shape[0]
     proj = noise_basis @ noise_basis.conj().T
-    rows, cols = np.triu_indices(size)
-    upper, lag = proj[rows, cols], cols - rows
+    rows, cols, lag = _upper_triangle(size)
+    upper = proj[rows, cols]
     sums = np.bincount(lag, upper.real, size) + 1j * np.bincount(lag, upper.imag, size)
     return sums[0].real + 2.0 * (sums[1:] @ manifold[1:size]).real
+
+
+@functools.lru_cache(maxsize=4)
+def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, lags) of the upper-triangle entries of a size x size
+    matrix, row-major, built once per size and shared read-only."""
+    rows, cols = np.triu_indices(size)
+    table = rows, cols, cols - rows
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=4)
@@ -408,11 +436,20 @@ class RefineResult:
 _SUBLATTICE_STRIDE = 5
 
 
+# Pass axes kept built: a campaign revisits the same seeds, so the same
+# windows, trial after trial (each axis holds at most 81 points by default).
+_CACHED_AXES = 256
+
+
+@functools.lru_cache(maxsize=_CACHED_AXES)
 def _window_grid(center: float, halfwidth: float, step: float, lo: float, hi: float) -> np.ndarray:
+    """The points center + k * step within halfwidth of center, clipped to
+    [lo, hi]; built once per argument tuple and shared read-only."""
     n = int(round(halfwidth / step))
     grid = center + step * np.arange(-n, n + 1)
-    grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
-    return np.clip(grid, lo, hi)
+    grid = np.clip(grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)], lo, hi)
+    grid.flags.writeable = False
+    return grid
 
 
 def _refine_window(coarse_angle_deg: float, initial_range: float, settings: EstimatorSettings):
@@ -503,12 +540,17 @@ class _Lattice:
         return self.descend(*self.best(_around(i, n_a, s), _around(j, n_r, s)))
 
 
+def _clamp(value: float, lo: float, hi: float) -> float:
+    """`value` clipped to [lo, hi], as a float (cheaper than `np.clip` on a scalar)."""
+    return float(min(max(value, lo), hi))
+
+
 def _parabolic_vertex(d_lo: float, d_mid: float, d_hi: float) -> float:
     """Sub-grid offset (in grid steps) of the minimum of a 3-point parabola."""
     curvature = d_lo - 2.0 * d_mid + d_hi
     if curvature <= 0.0:
         return 0.0
-    return float(np.clip(0.5 * (d_lo - d_hi) / curvature, -1.0, 1.0))
+    return _clamp(0.5 * (d_lo - d_hi) / curvature, -1.0, 1.0)
 
 
 # Design matrix of the 3x3 quadratic fit: the terms 1, x, y, x^2, y^2, xy
@@ -534,7 +576,7 @@ def _quadratic_vertex_2d(patch: np.ndarray) -> tuple[float, float] | None:
     if hess[0, 0] <= 0.0 or det <= 0.0:
         return None
     dx, dy = np.linalg.solve(hess, [-p[1], -p[2]])
-    return float(np.clip(dx, -1.0, 1.0)), float(np.clip(dy, -1.0, 1.0))
+    return _clamp(dx, -1.0, 1.0), _clamp(dy, -1.0, 1.0)
 
 
 def _subcell_offsets(values: np.ndarray, i: int, j: int) -> tuple[float, float]:
@@ -607,8 +649,8 @@ def _refine_search(
     _, _, pass2, (i2, j2) = _search_passes(cost, coarse_angle_deg, initial_range, settings)
     step2_a, step2_r = settings.pass2_angle_step_deg, settings.pass2_range_fraction * initial_range
     da, dr = _subcell_offsets(pass2.values, i2, j2)
-    angle = float(np.clip(pass2.angles_deg[i2] + step2_a * da, ang_lo, ang_hi))
-    rng = float(np.clip(pass2.ranges[j2] + step2_r * dr, rng_lo, rng_hi))
+    angle = _clamp(pass2.angles_deg[i2] + step2_a * da, ang_lo, ang_hi)
+    rng = _clamp(pass2.ranges[j2] + step2_r * dr, rng_lo, rng_hi)
 
     edge_a = min(angle - ang_lo, ang_hi - angle) < 0.5 * step2_a
     edge_r = min(rng - rng_lo, rng_hi - rng) < 0.5 * step2_r
@@ -625,7 +667,8 @@ def _refine_search(
 
 def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) -> SpectrumGrid:
     """The spectrum over the whole pass-1 lattice, for export."""
-    angles, ranges = _pass1_lattice(coarse_angle_deg, initial_range, settings)
+    lattice = _pass1_lattice(coarse_angle_deg, initial_range, settings)
+    angles, ranges = (axis.copy() for axis in lattice)  # the memo's axes are read-only
     values = _spectrum(_on_mesh(cost, np.deg2rad(angles), ranges))
     return SpectrumGrid((angles, ranges), ("angle_deg", "range_wl"), values)
 

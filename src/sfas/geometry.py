@@ -46,18 +46,33 @@ TWO_PI = 2.0 * np.pi
 # 1e-6 rad, while near 1e154 r * r overflows and the manifold turns NaN.
 _MAX_RANGE_WL = 1e9
 
+# The smallest element spacing, in wavelengths: well above the ulp of a
+# range at _MAX_RANGE_WL (1.2e-7 wl).  Near 1e-154 wl the squared aperture
+# in the Rayleigh distance underflows to 0.
+_MIN_SPACING_WL = 1e-6
+
+# The largest source power, relative to the unit power the SNR refers to
+# (90 dB).  At 1e308 the sample covariance overflows, and the CRB's Fisher
+# information holds the power squared.
+_MAX_POWER = 1e9
+
 
 def _integral(value) -> bool:
     """An int or a numpy integer; a bool is not a count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int, a float or a numpy real; a bool is not a quantity."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _require_real(obj, *names: str) -> None:
-    """Reject, by name, each field of `obj` that is not an int, a float or a
-    numpy real (a bool is not a quantity), before a rule compares it."""
+    """Reject, by name, each field of `obj` that is not a real number
+    (:func:`_is_real`), before a rule compares it."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        if not _is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
@@ -73,7 +88,8 @@ class ArrayConfig:
         Baseline spacing d0 in wavelengths, finite and > 0 (default 0.5).
     scale:
         Scaling factor applied to the baseline spacing, finite and > 0;
-        < 1 compresses the array, > 1 extends it.
+        < 1 compresses the array, > 1 extends it.  The spacing they give
+        must be at least 1e-6 wl (`_MIN_SPACING_WL`).
     """
 
     element_count: int
@@ -91,6 +107,10 @@ class ArrayConfig:
                 f"baseline_spacing must be finite and > 0, got {self.baseline_spacing}")
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        if self.spacing < _MIN_SPACING_WL:
+            raise ValueError(
+                f"spacing baseline_spacing * scale must be >= {_MIN_SPACING_WL:g} wl, "
+                f"got {self.spacing:g}")
 
     @property
     def spacing(self) -> float:
@@ -113,7 +133,7 @@ class SourceTruth:
         Distance in wavelengths, in (0, 1e9] (`_MAX_RANGE_WL`): from the
         array center, or from element 0 in the paper's single-source formulas.
     power:
-        Source signal power, finite and > 0.
+        Source signal power, > 0 and <= 1e9 (`_MAX_POWER`).
     """
 
     angle: float
@@ -126,12 +146,13 @@ class SourceTruth:
             raise ValueError(f"angle must lie in (-pi/2, pi/2) rad, got {self.angle}")
         if not 0 < self.range <= _MAX_RANGE_WL:
             raise ValueError(f"range must be > 0 and <= {_MAX_RANGE_WL:g} wl, got {self.range}")
-        if not 0 < self.power < np.inf:
-            raise ValueError(f"power must be finite and > 0, got {self.power}")
+        if not 0 < self.power <= _MAX_POWER:
+            raise ValueError(f"power must be > 0 and <= {_MAX_POWER:g}, got {self.power}")
 
     @classmethod
     def from_degrees(cls, angle_deg: float, range_wl: float, power: float = 1.0) -> "SourceTruth":
-        return cls(np.deg2rad(angle_deg), range_wl, power)
+        # An angle that is not a number reaches the field rules unconverted.
+        return cls(np.deg2rad(angle_deg) if _is_real(angle_deg) else angle_deg, range_wl, power)
 
     @property
     def angle_deg(self) -> float:

@@ -811,21 +811,24 @@ def run_campaign(
     Every (sweep cell, trial) of the campaign is scheduled on one bounded
     thread pool of at most `threads` workers, with OpenBLAS held at one
     thread meanwhile (see `_blas`), so the pool is the only parallelism.
-    Jobs are scheduled trial-major, so the cells of one trial run back to
-    back.  The cells of an SNR sweep, the noiseless one included, share
-    each trial's random draws, because a trial's covariances are built
-    from one Wishart factor per stage that does not depend on the SNR
-    (see `simulate.draw_covariance`); the cells of a snapshot sweep draw
-    independently.  Results are reduced in (cell, trial)
-    order, so the outputs depend neither on `threads` nor on the host's
-    BLAS thread count.  Per-trial estimator failures are counted and
-    excluded, never fatal.
+    Jobs are scheduled cell-major, so the trials of one cell run back to
+    back: they refine around the same seeds, so consecutive jobs reuse
+    the same lattice column stores (see `estimators._GridCost.cells`)
+    before other cells evict them.  The cells of an SNR sweep, the
+    noiseless one included, still share each trial's random draws,
+    because a trial's covariances are built from one Wishart factor per
+    stage that does not depend on the SNR (see
+    `simulate.draw_covariance`); the cells of a snapshot sweep draw
+    independently.  Each cell is reduced from its contiguous slice of
+    the outcomes, in (cell, trial) order, so the outputs depend neither
+    on `threads` nor on the host's BLAS thread count.  Per-trial
+    estimator failures are counted and excluded, never fatal.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = _output_directory(out_dir)
     cells = [campaign.scenario_at(value) for value in campaign.values]
-    jobs = [(scenario, trial) for trial in range(campaign.trials) for scenario in cells]
+    jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
 
     def trial_fn(job: tuple[Scenario, int]) -> dict[str, list[tuple] | None]:
         scenario, trial = job
@@ -846,7 +849,7 @@ def run_campaign(
     rmse_rows: list[list[str]] = []
     dump_rows: list[list[str]] = []
     for i, (value, scenario, (crb1, crb2)) in enumerate(zip(campaign.values, cells, bounds)):
-        cell = outcomes[i :: len(cells)]
+        cell = outcomes[i * campaign.trials : (i + 1) * campaign.trials]
         for name in campaign.estimators:
             record, rows = _aggregate(
                 value, name, [o[name] for o in cell], scenario, crb1, crb2

@@ -53,6 +53,10 @@ _ROLE_SIGNAL = 0
 _ROLE_NOISE = 1
 _ROLE_WISHART = 2
 
+# The most snapshots a scenario may take: a block file stores N as a uint32
+# (`_HEADER`), and far beyond int64 the Wishart draw's gamma shapes overflow.
+_MAX_SNAPSHOTS = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -125,6 +129,8 @@ class Scenario:
                 problems.append(f"{name} must be a whole number, got {value!r}")
             elif value < least:
                 problems.append(f"{name} must be >= {least}, got {value}")
+        if _integral(self.snapshots) and self.snapshots > _MAX_SNAPSHOTS:
+            problems.append(f"snapshots must be <= {_MAX_SNAPSHOTS}")
         return problems
 
     @property
@@ -361,10 +367,10 @@ def load_snapshot_block(path) -> SnapshotBlock:
         raise ValueError(f"{path}: unknown dtype code {code}")
     if m < 2 or n < 1:
         raise ValueError(f"{path}: M={m} elements and N={n} snapshots, need M >= 2 and N >= 1")
-    if not np.all(np.isfinite([scale, d0])) or min(scale, d0) <= 0.0:
-        raise ValueError(
-            f"{path}: scale {scale} and baseline spacing {d0} must be finite and > 0"
-        )
+    try:
+        config = ArrayConfig(m, d0, scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.isfinite(variance) or variance < 0.0:
         raise ValueError(f"{path}: noise variance {variance} must be finite and >= 0")
     dtype = np.dtype(_DTYPES[code])
@@ -374,4 +380,4 @@ def load_snapshot_block(path) -> SnapshotBlock:
     data = np.frombuffer(payload, dtype=dtype).reshape(m, n).astype(np.complex128)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: the payload holds a non-finite sample")
-    return SnapshotBlock(data, variance, ArrayConfig(m, d0, scale))
+    return SnapshotBlock(data, variance, config)

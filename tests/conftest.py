@@ -6,9 +6,13 @@ from sfas import CouplingModel, Scenario, SourceTruth, estimators, simulate
 
 def clear_steering_caches():
     """Empty the exact-geometry column stores, the far-field manifold memo,
-    the channel memo and the draw memo, so the next run starts cold."""
+    the search-axis and lag-table memos, the channel memo and the draw
+    memo, so the next run starts cold."""
     estimators._lattice_columns.cache_clear()
     estimators._far_field_manifold.cache_clear()
+    estimators._window_grid.cache_clear()
+    estimators._range_grid.cache_clear()
+    estimators._upper_triangle.cache_clear()
     simulate._channel_matrix.cache_clear()
     simulate._draws.cache_clear()
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from sfas import _blas
 from sfas.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +46,13 @@ def test_cli_outputs_match_the_pin(tmp_path, monkeypatch):
         f"{len(differ)} of {len(found.keys() | pinned.keys())} files differ: {differ}; "
         f"{cli_digest.PIN.name} was pinned on {pin_build}; this run: {cli_digest.build()}"
     )
+
+
+def test_build_names_the_kernels():
+    """The pin's build line names the OpenBLAS core of each OpenBLAS the
+    thread pin found, and numpy's SIMD targets, so a pin failure on another
+    host shows a kernel difference."""
+    cores = cli_digest.openblas_cores()
+    assert len(cores) == len(_blas._controls()) and all(cores)
+    line = cli_digest.build()
+    assert "(SIMD " in line and all(core in line for core in cores)

@@ -1100,3 +1100,66 @@ class TestColumnCache:
         assert cached.tobytes() == ff_manifold(np.deg2rad(grid), config).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 0.0
+
+
+# Arguments of each memoized axis builder, drawn near the values that
+# collide as cache keys: signed zeros, ints for floats, repeats.
+_AXIS_NUMBERS = st.sampled_from([0.0, -0.0, 1.0, 2, 0.5]) | st.floats(-100.0, 100.0)
+
+
+@st.composite
+def _window_args(draw):
+    center = draw(_AXIS_NUMBERS)
+    halfwidth = draw(st.sampled_from([1, 1.0, 0.5]) | st.floats(1e-3, 10.0))
+    step = halfwidth / draw(st.sampled_from([1, 2, 30]) | st.floats(0.5, 50.0))
+    lo = center - draw(_AXIS_NUMBERS.map(abs) | st.floats(0.0, 2.0 * halfwidth))
+    hi = center + draw(_AXIS_NUMBERS.map(abs) | st.floats(0.0, 2.0 * halfwidth))
+    return center, halfwidth, step, lo, hi
+
+
+_MEMOIZED_BUILDERS = {
+    "_window_grid": _window_args(),
+    "_range_grid": st.tuples(
+        st.sampled_from([5, 5.0, 20.0]), st.sampled_from([2e4, 20000, 6000.0]),
+        st.sampled_from([2, 40, 200]) | st.integers(2, 300).map(np.int64),
+    ),
+    "_upper_triangle": st.tuples(st.integers(1, 40) | st.integers(1, 40).map(np.int64)),
+}
+
+
+class TestAxisMemos:
+    """Search axes and the lag table are built once per distinct arguments
+    and shared read-only."""
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_memo_serves_what_the_builder_builds(self, data):
+        # the memos are not cleared between examples, so equal keys of
+        # different types or zero signs meet an entry another example left
+        name = data.draw(st.sampled_from(sorted(_MEMOIZED_BUILDERS)), "builder")
+        args = data.draw(_MEMOIZED_BUILDERS[name], "args")
+        memo = getattr(estimators, name)
+        served, built = memo(*args), memo.__wrapped__(*args)
+        if name != "_upper_triangle":
+            served, built = (served,), (built,)
+        assert len(served) == len(built)
+        for out, fresh in zip(served, built):
+            assert not out.flags.writeable
+            assert out.dtype == fresh.dtype and out.shape == fresh.shape
+            assert out.tobytes() == fresh.tobytes()
+
+    def test_range_grid_is_a_fresh_writable_array(self):
+        grid = SETTINGS.range_grid()
+        assert grid.flags.writeable
+        grid[0] = -1.0
+        assert SETTINGS.range_grid()[0] == SETTINGS.range_min
+
+    def test_clear_steering_caches_empties_every_memo(self, mixed_scenario):
+        memos = (
+            estimators._lattice_columns, estimators._far_field_manifold,
+            estimators._window_grid, estimators._range_grid, estimators._upper_triangle,
+        )
+        run_single_shot(mixed_scenario)
+        assert all(memo.cache_info().currsize for memo in memos)
+        clear_steering_caches()
+        assert not any(memo.cache_info().currsize for memo in memos)

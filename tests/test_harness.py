@@ -666,9 +666,26 @@ class TestCampaign:
             assert len(keys) == len(camp.values) * camp.trials * 3
             assert len(set(keys)) == distinct, camp.sweep
 
+    def test_serial_campaign_runs_cell_major(self, monkeypatch):
+        """At one thread the jobs run cell by cell, each cell's trials back
+        to back in trial order, so consecutive trials share lattices."""
+        ran = []
+        run_trial = harness._run_trial
+        monkeypatch.setattr(
+            harness, "_run_trial",
+            lambda scenario, *args: ran.append((scenario.snr_db, args[-1]))
+            or run_trial(scenario, *args),
+        )
+        camp = Campaign(
+            scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0, 25.0), trials=3
+        )
+        run_campaign(camp, threads=1)
+        assert ran == [(value, trial) for value in camp.values for trial in range(3)]
+
     def test_cells_reduce_as_single_cell_sweeps(self, tmp_path):
-        """The trial-major schedule leaves each cell's rows those of a sweep
-        over that cell alone, in trial order."""
+        """Each cell is reduced from its contiguous run of trials in the
+        cell-major schedule, so its rows are those of a sweep over that
+        cell alone, in trial order, at any thread count."""
         camp = Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
         run_campaign(camp, out_dir=tmp_path / "all", threads=2)
         rows = read_csv(tmp_path / "all" / "trial_errors.csv")
@@ -985,6 +1002,13 @@ class TestCli:
             "label: [a, b]": "label must be text, got ['a', 'b']",
             "campaign: {out_dir: {a: 1}}": "campaign: out_dir must be text, got {'a': 1}",
             'campaign: {out_dir: ""}': "campaign: out_dir must name a directory, got ''",
+            # each exited 1 with a traceback: an overflow in the Wishart draw,
+            # an infinite spectrum and a division by a Rayleigh distance of 0
+            "snapshots: 1.0e+308": "snapshots must be <= 4294967295",
+            "sources: [{angle_deg: 10.0, range: 100.0, power: 1.0e+308}]":
+                "sources[0]: power must be > 0 and <= 1e+09, got 1e+308",
+            "array: {baseline_spacing: 1.0e-300}":
+                "array: spacing baseline_spacing * scale must be >= 1e-06 wl, got 1e-300",
         }
         cases += [
             (f"{base}\n{line}\n", "campaign" if "campaign" in line else "single-shot", [key])

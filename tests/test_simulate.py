@@ -1,6 +1,6 @@
 import hashlib
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp
 from sfas import simulate
 from sfas.coupling import CouplingModel, coupling_matrix
 from sfas.crb import crb
+from sfas.estimators import EstimatorSettings
 from sfas.geometry import ArrayConfig, SourceTruth, array_center, esg_steering_centered
 from sfas.simulate import (
     Scenario,
@@ -86,7 +87,8 @@ class TestScenarioInvariants:
 
 
 # Field values each type must reject.  A range is bounded above too, by
-# 1e9 wl, because near 1e154 r * r overflows in the manifold.
+# 1e9 wl, because near 1e154 r * r overflows in the manifold; a power by
+# 1e9, a spacing below by 1e-6 wl and a snapshot count by 2**32 - 1.
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 _NON_POSITIVE = _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)
 # A count or seed is an int or a numpy integer: a float, even 3.0, a bool
@@ -95,14 +97,17 @@ _NOT_WHOLE = st.booleans() | st.floats(2.0, 1e6) | st.sampled_from([np.float64(3
 # A real field takes an int, a float or a numpy real: a bool, text, None or
 # a complex number is not one, and fails before any rule compares it.
 _NOT_REAL = st.booleans() | st.text() | st.sampled_from([None, 1j, "0.3"])
+_BELOW_SPACING = st.floats(0.0, 1e-6, exclude_min=True, exclude_max=True)
 _BAD_FIELDS = [
-    (ArrayConfig, dict(element_count=32), "baseline_spacing", _NON_POSITIVE | _NOT_REAL),
-    (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE | _NOT_REAL),
+    (ArrayConfig, dict(element_count=32), "baseline_spacing",
+     _NON_POSITIVE | _BELOW_SPACING | _NOT_REAL),
+    (ArrayConfig, dict(element_count=32), "scale", _NON_POSITIVE | _BELOW_SPACING | _NOT_REAL),
     (SourceTruth, dict(angle=0.1, range=100.0), "angle",
      _NON_FINITE | st.floats(np.pi / 2, np.inf) | st.floats(-np.inf, -np.pi / 2) | _NOT_REAL),
     (SourceTruth, dict(angle=0.1, range=100.0), "range",
      _NON_POSITIVE | st.floats(min_value=1e9, exclude_min=True) | _NOT_REAL),
-    (SourceTruth, dict(angle=0.1, range=100.0), "power", _NON_POSITIVE | _NOT_REAL),
+    (SourceTruth, dict(angle=0.1, range=100.0), "power",
+     _NON_POSITIVE | st.floats(min_value=1e9, exclude_min=True) | _NOT_REAL),
     (CouplingModel, {}, "reference_strength",
      _NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0)
      | _NOT_REAL),
@@ -113,8 +118,13 @@ _BAD_FIELDS = [
      st.sampled_from([np.nan, -np.inf]) | _NOT_REAL),
     (ArrayConfig, {}, "element_count", _NOT_WHOLE),
     (CouplingModel, {}, "band", _NOT_WHOLE),
-    (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots", _NOT_WHOLE),
+    (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots",
+     _NOT_WHOLE | st.integers(min_value=2**32) | st.just(int(1e308))),
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "seed", _NOT_WHOLE),
+    *[(EstimatorSettings, {}, f.name, _NOT_REAL)
+      for f in fields(EstimatorSettings) if isinstance(f.default, float)],
+    (EstimatorSettings, {}, "trim", _NOT_WHOLE),
+    (EstimatorSettings, {}, "range_points", _NOT_WHOLE),
 ]
 
 
@@ -136,6 +146,18 @@ class TestFieldRules:
         (lambda: CouplingModel(reference_strength="0.3"), "reference_strength"),
         (lambda: CouplingModel(decay="1"), "decay"),
         (lambda: Scenario((SourceTruth(0.1, 100.0),), snr_db="20"), "snr_db"),
+        # the settings compared first too; trim=1.5 built, range_points=200.0
+        # built and failed in range_grid()
+        (lambda: EstimatorSettings(angle_step_deg="0.1"), "angle_step_deg"),
+        (lambda: EstimatorSettings(pass1_angle_step_deg=None), "pass1_angle_step_deg"),
+        (lambda: EstimatorSettings(trim=1.5), "trim"),
+        (lambda: EstimatorSettings(range_points=200.0), "range_points"),
+        (lambda: SourceTruth.from_degrees("10", 100.0), "angle"),  # died in np.deg2rad
+        # crashed single-shot (overflow), single-shot (inf spectrum), validate (0 / 0)
+        (lambda: Scenario((SourceTruth(0.1, 100.0),), snapshots=int(1e308)), "snapshots"),
+        # its own id keeps the NaN-power case above under its plain one
+        pytest.param(lambda: SourceTruth(0.1, 100.0, 1e308), "power", id="huge-power"),
+        (lambda: ArrayConfig(32, 1e-300), "baseline_spacing"),
     ])
     def test_pinned_bad_fields(self, make, field):
         with pytest.raises(ValueError, match=field):
@@ -653,6 +675,7 @@ class TestBinaryInterchange:
             "nan scale": with_header(scale=float("nan")),
             "infinite scale": with_header(scale=float("inf")),
             "zero spacing": with_header(d0=0.0),
+            "tiny spacing": with_header(d0=1e-300),
             "nan spacing": with_header(d0=float("nan")),
             "infinite noise variance": with_header(variance=float("inf")),
             "negative noise variance": with_header(variance=-0.5),

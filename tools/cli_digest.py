@@ -17,15 +17,17 @@ which runs both checkouts and prints the paths whose hashes differ (or
 that only one of them writes); it exits 1 if any differ and 0 if none do.
 
 The hashes of this checkout are pinned in ``tools/cli_digest.sha256``,
-whose first line names the numpy and BLAS build they were taken on::
+whose first line names the numpy and BLAS build they were taken on, with
+the OpenBLAS core and numpy's SIMD targets that build dispatched to::
 
     python tools/cli_digest.py --check   # compare a fresh run with the pin
     python tools/cli_digest.py --pin     # rewrite the pin from a fresh run
 
 ``--check`` prints the paths that differ and exits 1 if any do.  The
-last bits of the outputs depend on the numpy and BLAS build, so on
-another build a difference may come from the build, not the code; the
-message names both builds.
+last bits of the outputs depend on the numpy and BLAS build and on the
+kernels they pick for the host, so on another build or host a
+difference may come from the kernels, not the code; the message names
+both builds.
 
 The optional argument is the root of the checkout to run (default: the
 one holding this script); its ``src/`` and ``scenarios/`` are used.
@@ -34,9 +36,11 @@ one holding this script); its ``src/`` and ``scenarios/`` are used.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,13 +94,48 @@ def pinned() -> tuple[str, dict[str, str]]:
     }
 
 
+# Symbols naming the core an OpenBLAS dispatches to: the 64-bit-integer
+# wheel build, a 64-bit-integer system build, a plain one.
+_CORENAMES = (
+    "scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"
+)
+
+
+def openblas_cores() -> list[str]:
+    """The core (such as SkylakeX) of each OpenBLAS loaded in this process,
+    found as `sfas._blas` finds the thread calls."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    libs = {p for p in re.findall(r"(/\S+\.so[\w.]*)", maps) if "openblas" in p.lower()}
+    cores = []
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in _CORENAMES:
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.restype, corename.argtypes = ctypes.c_char_p, []
+                cores.append(corename().decode())
+                break
+    return cores
+
+
 def build() -> str:
-    """The numpy and BLAS build this interpreter runs, in one line."""
+    """The numpy and BLAS build this interpreter runs, with the OpenBLAS
+    core and numpy's SIMD targets it dispatches to, in one line."""
     import numpy as np
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    cores = ", ".join(openblas_cores()) or "no OpenBLAS core"
+    simd = " ".join(config.get("SIMD Extensions", {}).get("found", [])) or "none"
     return (
-        f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+        f"numpy {np.__version__} (SIMD {simd}), "
+        f"{blas.get('name')} {blas.get('version')} ({cores}), "
         f"python {platform.python_version()}, {platform.machine()}"
     )
 
