@@ -360,23 +360,12 @@ def _lag_sum_cost(noise_basis: np.ndarray, manifold: np.ndarray) -> np.ndarray:
     not): one (1 x M') (M' x G) product in place of the (M' - K) x M' x G
     projection of `_noise_quadratic`, its test oracle.
     """
-    size = noise_basis.shape[0]
-    proj = noise_basis @ noise_basis.conj().T
-    rows, cols, lag = _upper_triangle(size)
-    upper = proj[rows, cols]
-    sums = np.bincount(lag, upper.real, size) + 1j * np.bincount(lag, upper.imag, size)
-    return sums[0].real + 2.0 * (sums[1:] @ manifold[1:size]).real
-
-
-@functools.lru_cache(maxsize=4)
-def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, lags) of the upper-triangle entries of a size x size
-    matrix, row-major, built once per size and shared read-only."""
-    rows, cols = np.triu_indices(size)
-    table = rows, cols, cols - rows
-    for array in table:
-        array.flags.writeable = False
-    return table
+    n = noise_basis.shape[0]
+    proj = (noise_basis @ noise_basis.conj().T).ravel()
+    # bin n - 1 + l gathers the l-th superdiagonal, in row order
+    lag = (np.arange(n) - np.arange(n)[:, None]).ravel() + n - 1
+    sums = np.bincount(lag, proj.real, 2 * n - 1) + 1j * np.bincount(lag, proj.imag, 2 * n - 1)
+    return sums[n - 1].real + 2.0 * (sums[n:] @ manifold[1:n]).real
 
 
 @functools.lru_cache(maxsize=4)
@@ -695,10 +684,9 @@ class _GridCost:
         width and offset of the batch (OpenBLAS did for 178 of 522 batches
         tried at M = 32), so a change to which cells a walk asks for
         together moves the last bits of costs whose columns stay fixed.
-        Missing columns are computed once, under the store's lock."""
+        Missing columns are computed once, under `_STORES_LOCK`."""
         with _STORES_LOCK:
             store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
-        with store.lock:
             miss = store.slots[rows, cols] < 0
             if miss.any():
                 r, c = rows[miss], cols[miss]
@@ -714,7 +702,7 @@ class _GridCost:
 # revisits 28 (about 4,300 columns, 2 MiB at M = 32); a lattice holds only
 # the columns of the cells it was asked for.
 _CACHED_LATTICES = 32
-_STORES_LOCK = threading.Lock()  # held for each lookup: one store per lattice
+_STORES_LOCK = threading.Lock()  # held for each lookup and fill of a store
 
 
 @dataclass
@@ -722,13 +710,12 @@ class _LatticeColumns:
     """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
     cell until its column is computed and then the column's index in
     `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested.  `lock` guards each fill
-    and pairs each read of `slots` with its `columns`, which is replaced,
-    never written, so a gather needs no lock."""
+    holds one column per distinct cell requested.  `_STORES_LOCK` guards
+    each fill and pairs each read of `slots` with its `columns`, which is
+    replaced, never written, so a gather needs no lock."""
 
     slots: np.ndarray
     columns: np.ndarray
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @functools.lru_cache(maxsize=_CACHED_LATTICES)

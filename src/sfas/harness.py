@@ -18,7 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -83,7 +83,9 @@ class ScenarioFileError(ValueError):
 
 @dataclass(frozen=True)
 class Campaign:
-    """A sweep of Monte-Carlo trials over one scenario template."""
+    """A sweep of Monte-Carlo trials over one scenario template.  `cells`
+    holds the scenario of each sweep value, built and checked with the
+    campaign."""
 
     scenario: Scenario
     sweep: str = "none"
@@ -92,6 +94,7 @@ class Campaign:
     estimators: tuple[str, ...] = ("two_stage",)
     settings: EstimatorSettings = EstimatorSettings()
     out_dir: str | None = None
+    cells: tuple[Scenario, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sweep not in SWEEP_AXES:
@@ -109,6 +112,13 @@ class Campaign:
             raise ScenarioFileError(
                 f"snapshot sweep values must be whole numbers >= 1, got {list(values)}"
             )
+        cells = []
+        for value in values:
+            try:
+                cells.append(self.scenario_at(value))
+            except ValueError as exc:
+                raise ScenarioFileError(f"campaign: values {value!r}: {exc}") from exc
+        object.__setattr__(self, "cells", tuple(cells))
         if self.trials < 1:
             raise ScenarioFileError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
@@ -827,7 +837,7 @@ def run_campaign(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     out_dir = _output_directory(out_dir)
-    cells = [campaign.scenario_at(value) for value in campaign.values]
+    cells = campaign.cells
     jobs = [(scenario, trial) for scenario in cells for trial in range(campaign.trials)]
 
     def trial_fn(job: tuple[Scenario, int]) -> dict[str, list[tuple] | None]:
@@ -880,7 +890,7 @@ def run_campaign(
 def write_crb_csv(campaign: Campaign, out_dir) -> Path:
     """Bound curves alone, in the same schema as the RMSE export."""
     out_dir = _output_directory(out_dir)
-    cells = [(value, campaign.scenario_at(value)) for value in campaign.values]
+    cells = list(zip(campaign.values, campaign.cells))
     if any(scenario.noise_variance == 0.0 for _, scenario in cells):
         raise ScenarioFileError("CRB export needs a finite SNR")
     rows = [row for value, scenario in cells for row in _crb_rows(value, *_bounds(scenario))]

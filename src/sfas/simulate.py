@@ -57,6 +57,11 @@ _ROLE_WISHART = 2
 # (`_HEADER`), and far beyond int64 the Wishart draw's gamma shapes overflow.
 _MAX_SNAPSHOTS = 2**32 - 1
 
+# The lowest SNR, in dB: its noise power, 10^9, is the largest source power
+# (`geometry._MAX_POWER`).  At -4000 dB the noise power overflows, and at
+# -3000 dB the CRB's Fisher matrix is singular.
+_MIN_SNR_DB = -90.0
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -90,6 +95,8 @@ class Scenario:
             problems.append(
                 f"snr_db must be finite, or +inf for noiseless data, got {self.snr_db}"
             )
+        elif self.snr_db < _MIN_SNR_DB:
+            problems.append(f"snr_db must be >= {_MIN_SNR_DB:g}, got {self.snr_db}")
         if self.config_compressed.scale >= 1.0:
             problems.append(
                 f"compressed scale must be < 1, got {self.config_compressed.scale}"

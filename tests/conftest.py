@@ -1,20 +1,27 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sfas import CouplingModel, Scenario, SourceTruth, estimators, simulate
 
+# tools/cli_digest.py, a script, loaded by path: `build()` names the numpy and
+# BLAS build and the kernels that pinned hashes depend on.
+_SPEC = importlib.util.spec_from_file_location(
+    "cli_digest", Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+)
+cli_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_digest)
+
 
 def clear_steering_caches():
-    """Empty the exact-geometry column stores, the far-field manifold memo,
-    the search-axis and lag-table memos, the channel memo and the draw
-    memo, so the next run starts cold."""
-    estimators._lattice_columns.cache_clear()
-    estimators._far_field_manifold.cache_clear()
-    estimators._window_grid.cache_clear()
-    estimators._range_grid.cache_clear()
-    estimators._upper_triangle.cache_clear()
-    simulate._channel_matrix.cache_clear()
-    simulate._draws.cache_clear()
+    """Empty every memo of `estimators` and `simulate` (each module-level
+    object with a `cache_clear`), so the next run starts cold."""
+    for module in (estimators, simulate):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
 
 
 def mixed_field_sources():

@@ -8,19 +8,16 @@ state of a cache.
 """
 
 import contextlib
-import importlib.util
 import io
 from pathlib import Path
 
 import pytest
 
+from conftest import cli_digest
 from sfas import _blas
 from sfas.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
-cli_digest = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(cli_digest)
 
 
 # The window-edge RuntimeWarnings of the shipped files carry no output byte.

@@ -1,8 +1,10 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from sfas.crb import (
+    _invert_with_markers,
     crb,
     crb_for_scenario,
     fisher_information,
@@ -195,3 +197,21 @@ class TestFisherAndCrb:
             assert np.linalg.eigvalsh(res.fisher.matrix)[0] < 0.0
             bounds = np.concatenate([res.angle_variance, res.range_variance])
             assert np.all(bounds >= 0.0), bounds
+
+    @hyp_settings(max_examples=50, deadline=None)
+    @given(size=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_indefinite_matrix_gives_no_negative_bound(self, size, seed):
+        """The case above on every BLAS kernel, where rounding may leave the
+        scene's Fisher matrix definite: eigenvalues 1.5e-4 down to -8e-9 in
+        a random orthogonal basis, beside one parameter resolved on its own.
+        The plain inverse has a negative diagonal; the bounds have none."""
+        basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))
+        values = np.append(np.geomspace(1.5e-4, 1e-6, size - 1), -8e-9)
+        fim = np.zeros((size + 1, size + 1))
+        fim[:size, :size] = (basis * values) @ basis.T
+        fim[size, size] = 1e-4
+        fim = 0.5 * (fim + fim.T)
+        assert np.diag(np.linalg.inv(fim)).min() < 0.0
+        bounds = _invert_with_markers(fim)
+        assert np.all(bounds >= 0.0), bounds
+        assert bounds[size] == pytest.approx(1e4)

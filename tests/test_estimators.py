@@ -1043,7 +1043,7 @@ class TestColumnCache:
         return counted
 
     def test_cold_campaign_columns_do_not_depend_on_threads(self, mixed_scenario, monkeypatch):
-        # a store computes each missing column once, under its lock, so a
+        # a store computes each missing column once, under _STORES_LOCK, so a
         # cold pass computes the same columns at any thread count
         campaign = Campaign(scenario=replace(mixed_scenario, seed=1401), trials=16)
         totals = []
@@ -1123,13 +1123,12 @@ _MEMOIZED_BUILDERS = {
         st.sampled_from([5, 5.0, 20.0]), st.sampled_from([2e4, 20000, 6000.0]),
         st.sampled_from([2, 40, 200]) | st.integers(2, 300).map(np.int64),
     ),
-    "_upper_triangle": st.tuples(st.integers(1, 40) | st.integers(1, 40).map(np.int64)),
 }
 
 
 class TestAxisMemos:
-    """Search axes and the lag table are built once per distinct arguments
-    and shared read-only."""
+    """Search axes are built once per distinct arguments and shared
+    read-only."""
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1139,14 +1138,10 @@ class TestAxisMemos:
         name = data.draw(st.sampled_from(sorted(_MEMOIZED_BUILDERS)), "builder")
         args = data.draw(_MEMOIZED_BUILDERS[name], "args")
         memo = getattr(estimators, name)
-        served, built = memo(*args), memo.__wrapped__(*args)
-        if name != "_upper_triangle":
-            served, built = (served,), (built,)
-        assert len(served) == len(built)
-        for out, fresh in zip(served, built):
-            assert not out.flags.writeable
-            assert out.dtype == fresh.dtype and out.shape == fresh.shape
-            assert out.tobytes() == fresh.tobytes()
+        out, fresh = memo(*args), memo.__wrapped__(*args)
+        assert not out.flags.writeable
+        assert out.dtype == fresh.dtype and out.shape == fresh.shape
+        assert out.tobytes() == fresh.tobytes()
 
     def test_range_grid_is_a_fresh_writable_array(self):
         grid = SETTINGS.range_grid()
@@ -1157,7 +1152,7 @@ class TestAxisMemos:
     def test_clear_steering_caches_empties_every_memo(self, mixed_scenario):
         memos = (
             estimators._lattice_columns, estimators._far_field_manifold,
-            estimators._window_grid, estimators._range_grid, estimators._upper_triangle,
+            estimators._window_grid, estimators._range_grid,
         )
         run_single_shot(mixed_scenario)
         assert all(memo.cache_info().currsize for memo in memos)

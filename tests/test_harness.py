@@ -1021,17 +1021,23 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert all(k in err for k in keys), (keys, err)
 
-        # A source range or `range_max` beyond 1e9 wl exits 2 before any
-        # trial or bound: near 1e154, r * r overflows in the manifold.
+        # Each of these exits 2 before any trial or bound.  Near a range of
+        # 1e154 wl, r * r overflows in the manifold.  A snapshot-sweep value of
+        # 1e308 crashed `crb` in its cell's Scenario, and an SNR of -4000 dB
+        # overflowed the noise power in `single-shot` and `crb`.
         huge = {
             base.replace("range: 5000.0", "range: 1.0e+160"):
-                "sources[3]: range must be > 0 and <= 1e+09 wl, got 1e+160",
+                ("single-shot", "sources[3]: range must be > 0 and <= 1e+09 wl, got 1e+160"),
             f"{base}\nestimator: {{range_max: 1.0e+160}}\n":
-                "estimator: settings must satisfy range_max <= 1e+09 (got 1e+160)",
+                ("single-shot", "estimator: settings must satisfy range_max <= 1e+09 (got 1e+160)"),
+            snapshots.replace("[100, 200, 400, 800]", "[100, 1.0e+308]"):
+                ("campaign", "campaign: values 1e+308: invalid scenario: snapshots must be <= "),
+            base.replace("snr_db: 20.0", "snr_db: -4000.0"):
+                ("single-shot", "snr_db must be >= -90, got -4000.0"),
         }
-        for text, key in huge.items():
+        for text, (run_verb, key) in huge.items():
             path.write_text(text)
-            for verb in ("validate", "single-shot", "crb"):
+            for verb in ("validate", "crb", run_verb):
                 out = [] if verb == "validate" else ["--out", str(tmp_path / "huge")]
                 assert cli_main([verb, str(path), *out]) == 2, (verb, key)
                 assert key in capsys.readouterr().err, (verb, key)

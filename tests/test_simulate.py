@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.stats import ks_2samp
 
+from conftest import cli_digest
 from sfas import simulate
 from sfas.coupling import CouplingModel, coupling_matrix
 from sfas.crb import crb
@@ -115,7 +116,8 @@ _BAD_FIELDS = [
      _NON_FINITE | st.floats(max_value=0.0, exclude_max=True) | _NOT_REAL),
     (CouplingModel, {}, "phase_offset", _NON_FINITE | _NOT_REAL),
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snr_db",
-     st.sampled_from([np.nan, -np.inf]) | _NOT_REAL),
+     st.sampled_from([np.nan, -np.inf]) | st.floats(max_value=-90.0, exclude_max=True)
+     | _NOT_REAL),
     (ArrayConfig, {}, "element_count", _NOT_WHOLE),
     (CouplingModel, {}, "band", _NOT_WHOLE),
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots",
@@ -158,6 +160,8 @@ class TestFieldRules:
         # its own id keeps the NaN-power case above under its plain one
         pytest.param(lambda: SourceTruth(0.1, 100.0, 1e308), "power", id="huge-power"),
         (lambda: ArrayConfig(32, 1e-300), "baseline_spacing"),
+        # overflowed the noise power in single-shot and crb
+        (lambda: Scenario((SourceTruth(0.1, 100.0),), snr_db=-4000.0), "snr_db must be >= -90"),
     ])
     def test_pinned_bad_fields(self, make, field):
         with pytest.raises(ValueError, match=field):
@@ -215,8 +219,13 @@ class TestDeterminism:
         assert not np.array_equal(c.data, e.data)
 
     def test_regression_checksum(self, mixed_scenario):
+        # the block's last bits depend on the BLAS kernels, so a failure names them
         block = generate_snapshots_compressed(mixed_scenario)
-        assert hashlib.sha256(block.data.tobytes()).hexdigest() == MIXED_BLOCK_SHA256
+        digest = hashlib.sha256(block.data.tobytes()).hexdigest()
+        assert digest == MIXED_BLOCK_SHA256, (
+            f"block hashes to {digest}; {cli_digest.PIN.name} was pinned on "
+            f"{cli_digest.pinned()[0]}; this run: {cli_digest.build()}"
+        )
 
     def test_adding_snapshots_preserves_prefix(self):
         short = single_source_scenario(snapshots=50, snr_db=10.0)
