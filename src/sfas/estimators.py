@@ -248,12 +248,7 @@ def _noise_quadratic(noise_basis: np.ndarray):
 
     def cost(manifold: np.ndarray) -> np.ndarray:
         proj = adjoint @ manifold
-        squares = proj.real**2 + proj.imag**2
-        # Rows are added in order, as einsum("ij,ij->j") adds them; numpy's
-        # `sum` would add a lone column pairwise, in other bytes.
-        if squares.shape[1] == 1:
-            return np.add.accumulate(squares)[-1]
-        return squares.sum(axis=0)
+        return (proj.real**2 + proj.imag**2).sum(axis=0)
 
     return cost
 

@@ -104,29 +104,29 @@ class Campaign:
             values = (0.0,)
             object.__setattr__(self, "values", values)
         if not values:
-            raise ScenarioFileError("a swept campaign needs at least one value")
+            raise ScenarioFileError("values must not be empty in a swept campaign")
         if len(values) > 1 and not all(b > a for a, b in zip(values, values[1:])):
-            raise ScenarioFileError("sweep values must be strictly increasing")
+            raise ScenarioFileError("values must be strictly increasing")
         whole = all(v >= 1 and float(v).is_integer() for v in values)
         if self.sweep == "snapshots" and not whole:
             raise ScenarioFileError(
-                f"snapshot sweep values must be whole numbers >= 1, got {list(values)}"
+                f"values must be whole numbers >= 1 in a snapshot sweep, got {list(values)}"
             )
         cells = []
         for value in values:
             try:
                 cells.append(self.scenario_at(value))
             except ValueError as exc:
-                raise ScenarioFileError(f"campaign: values {value!r}: {exc}") from exc
+                raise ScenarioFileError(f"values {value!r}: {exc}") from exc
         object.__setattr__(self, "cells", tuple(cells))
         if self.trials < 1:
             raise ScenarioFileError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
-            raise ScenarioFileError("at least one estimator is required")
+            raise ScenarioFileError("estimators must name at least one estimator")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ScenarioFileError(
-                    f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
+                    f"estimators must each be one of {ESTIMATOR_NAMES}, got {name!r}"
                 )
 
     def scenario_at(self, value: float) -> Scenario:
@@ -421,7 +421,7 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
         try:
             campaign = Campaign(scenario=scenario, settings=settings, **keys)
         except ScenarioFileError as exc:
-            problems.append(str(exc))
+            problems.append(f"campaign: {exc}")
     if problems:
         raise ScenarioFileError(f"{path}: " + "; ".join(problems))
     assert scenario is not None

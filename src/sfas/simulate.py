@@ -193,15 +193,10 @@ def _stream(seed: int, trial: int, stage: str, role: int, sub: int = 0) -> np.ra
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-# Blocks whose draws the memo below keeps: the stages of two trials, so
-# callers that walk the cells of an SNR sweep trial by trial through
-# `generate_snapshots_*` draw each (trial, stage) once.  Campaigns draw
-# covariances instead (`draw_covariance`) and never reach the memo.  A
-# miss only draws the same bytes again.
-_MEMO_BLOCKS = 2 * len(_STAGE_CODES)
-
-
-@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+# The three stages of one trial: a caller that walks an SNR sweep's cells
+# trial by trial through `generate_snapshots_*` draws each (trial, stage)
+# once.  Campaigns never reach the memo; a miss draws the same bytes again.
+@functools.lru_cache(maxsize=len(_STAGE_CODES))
 def _draws(
     seed: int, trial: int, stage: str, snapshots: int, powers: tuple[float, ...], m: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from conftest import cli_digest
 from sfas.crb import (
     _invert_with_markers,
     crb,
@@ -194,7 +195,11 @@ class TestFisherAndCrb:
         sources = (SourceTruth.from_degrees(0.0, 20.0), SourceTruth.from_degrees(0.015625, 20.0))
         for scale in (1.0, 2.0):
             res = crb(sources, ArrayConfig(7, 0.5, scale), 4, 10.0)
-            assert np.linalg.eigvalsh(res.fisher.matrix)[0] < 0.0
+            assert np.linalg.eigvalsh(res.fisher.matrix)[0] < 0.0, (
+                f"rounding left the Fisher matrix definite; {cli_digest.PIN.name} "
+                f"was pinned on {cli_digest.pinned()[0]}; "
+                f"this run: {cli_digest.build()}"
+            )
             bounds = np.concatenate([res.angle_variance, res.range_variance])
             assert np.all(bounds >= 0.0), bounds
 

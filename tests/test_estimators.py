@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import clear_steering_caches
@@ -881,13 +881,14 @@ class TestSpectrumSanity:
     @given(
         m=st.integers(2, 40),
         rank=st.integers(1, 30),
-        n=st.integers(1, 3) | st.integers(1, 2000),
+        n=st.integers(2, 3) | st.integers(2, 2000),
         exponent=st.floats(-8.0, 8.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_noise_quadratic_is_einsum_bytes(self, m, rank, n, exponent, seed):
         """The MUSIC denominator is the einsum of the projection with its
-        conjugate, byte for byte, for any number of columns."""
+        conjugate, byte for byte, for two or more columns (numpy sums a
+        lone column pairwise; the next test bounds it)."""
         rng = np.random.default_rng(seed)
         shape = (m, n)
         basis_shape = (m, min(rank, m))
@@ -896,6 +897,29 @@ class TestSpectrumSanity:
         proj = basis.conj().T @ manifold
         oracle = np.einsum("ij,ij->j", proj.conj(), proj).real
         assert estimators._noise_quadratic(basis)(manifold).tobytes() == oracle.tobytes()
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        rank=st.integers(1, 30),
+        n=st.integers(1, 64),
+        exponent=st.floats(-8.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=32, rank=28, n=1, exponent=0.0, seed=0)
+    def test_noise_quadratic_matches_column_norms(self, m, rank, n, exponent, seed):
+        """Every batch width, a lone column included, gives each column's
+        ||U_n^H a||^2 to a few M eps of ||U_n||_F^2 ||a||^2, the scale
+        whose rounding a length-M dot product and the sum of its squares
+        are bounded by."""
+        rng = np.random.default_rng(seed)
+        basis_shape = (m, min(rank, m))
+        basis = rng.standard_normal(basis_shape) + 1j * rng.standard_normal(basis_shape)
+        manifold = 10.0**exponent * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        oracle = [np.linalg.norm(basis.conj().T @ column) ** 2 for column in manifold.T]
+        scale = np.linalg.norm(basis) ** 2 * np.linalg.norm(manifold, axis=0) ** 2
+        error = np.abs(estimators._noise_quadratic(basis)(manifold) - oracle)
+        assert np.all(error <= 8 * m * np.finfo(float).eps * scale)
 
 
 class TestLagSums:

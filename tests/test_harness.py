@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -35,6 +37,31 @@ from sfas.harness import (
 from sfas.simulate import Scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Values a hand-edited file could hold where a shipped file has a number or
+# a word: wrong kinds, empty containers, zero, signs and magnitudes at the
+# edges of a float.
+HOSTILE_LEAVES = (
+    None, True, False, 0, -1, 1.0e308, math.nan, math.inf, -math.inf,
+    "", "x" * 50, [], {}, 2.5, 1.0e-300, 10**30,
+)
+# Grids coarse enough for a single shot in a fraction of a second.
+COARSE_SETTINGS = {
+    "angle_step_deg": 1.0, "range_points": 20,
+    "pass1_angle_step_deg": 0.5, "pass1_range_fraction": 0.05,
+    "pass2_angle_step_deg": 0.25, "pass2_range_fraction": 0.025,
+}
+
+
+def leaf_paths(node, path=()):
+    """The key paths of the scalars under `node`, a loaded YAML tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in leaf_paths(child, (*path, key))]
 
 
 def small_scenario(**kw):
@@ -956,7 +983,7 @@ class TestCli:
             (coupled.replace("band: 2\n  symmetric: true", "band: 40\n  symmetric: true"),
              "single-shot", ["extended coupling band 40"]),
             (snapshots.replace("[100, 200, 400, 800]", "[0.5, 100, 200]"),
-             "campaign", ["snapshot sweep values"]),
+             "campaign", ["campaign: values must be whole numbers >= 1 in a snapshot sweep"]),
             (base.replace("reference_strength: 0.3", "reference_strength: 1.5")
              .replace("band: 2\n", "band: -1\n"),
              "single-shot", ["reference_strength < 1", "band >= 0"]),
@@ -1035,6 +1062,15 @@ class TestCli:
             base.replace("snr_db: 20.0", "snr_db: -4000.0"):
                 ("single-shot", "snr_db must be >= -90, got -4000.0"),
         }
+        # Every rule of the campaign section names it and its key.
+        for old, new in (
+            ("trials: 100", "trials: 0"),
+            ("values: [100, 200, 400, 800]", "values: [200, 100]"),
+            ("sweep: snapshots", "sweep: frequency"),
+            ("estimators: [two_stage]", "estimators: [music3d]"),
+        ):
+            key = new.split(":")[0]
+            huge[snapshots.replace(old, new)] = ("campaign", f"campaign: {key}")
         for text, (run_verb, key) in huge.items():
             path.write_text(text)
             for verb in ("validate", "crb", run_verb):
@@ -1042,3 +1078,27 @@ class TestCli:
                 assert cli_main([verb, str(path), *out]) == 2, (verb, key)
                 assert key in capsys.readouterr().err, (verb, key)
         assert not (tmp_path / "huge").exists()
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_hostile_leaf_gives_a_result_or_a_diagnosis(self, data):
+        """A shipped file with one leaf set to a hostile value either runs
+        (`validate` may exit 1 on a failed check) or exits 2 with an
+        `error:` line; no verb raises."""
+        name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
+        tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
+        *parents, leaf = data.draw(st.sampled_from(leaf_paths(tree)), "leaf")
+        node = tree
+        for key in parents:
+            node = node[key]
+        node[leaf] = data.draw(st.sampled_from(HOSTILE_LEAVES), "value")
+        tree["estimator"] = COARSE_SETTINGS
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(yaml.safe_dump(tree))
+            for verb, *out in (["validate"], ["crb", "--out", f"{tmp}/crb"], ["single-shot"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli_main([verb, str(path), *out])
+                diagnosed = rc == 2 and err.getvalue().startswith("error: ")
+                assert rc in (0, 1) or diagnosed, (verb, rc, err.getvalue())

@@ -417,6 +417,37 @@ class TestSynthesisFastPaths:
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0.0
 
+    def test_snapshot_trial_walk_draws_each_stage_once(self):
+        """A snapshot-path trial walks the cells of an SNR sweep trial by
+        trial, each cell through the three stages: the draw memo misses once
+        per stage of each trial and serves the cold blocks."""
+        scen = Scenario(
+            sources=(SourceTruth.from_degrees(-20.66, 30.0),
+                     SourceTruth.from_degrees(10.77, 500.0),
+                     SourceTruth.from_degrees(30.88, 5000.0)),
+            snapshots=40,
+            seed=44001,
+        )
+        snrs = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+
+        def blocks(trial, snr):
+            cell = scen.with_snr(snr)
+            return [
+                generate_snapshots_compressed(cell, trial).data.tobytes(),
+                generate_snapshots_extended(cell, False, trial).data.tobytes(),
+                generate_snapshots_baseline(cell, trial).data.tobytes(),
+            ]
+
+        cold = {}
+        for trial in (0, 1):
+            for snr in snrs:
+                simulate._draws.cache_clear()
+                cold[trial, snr] = blocks(trial, snr)
+        simulate._draws.cache_clear()
+        for trial in (0, 1):
+            assert [blocks(trial, snr) for snr in snrs] == [cold[trial, snr] for snr in snrs]
+            assert simulate._draws.cache_info().misses == 3 * (trial + 1)
+
     def test_noiseless_block_adds_zero_noise(self, monkeypatch):
         """A noiseless block is `channel @ signal` plus zeros, so a -0.0 of
         the product reads +0.0 in the block."""
