@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    _MAX_TRIALS,
     Campaign,
     ScenarioFileError,
     load_file,
@@ -97,9 +98,9 @@ def _cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _whole_number(name: str, minimum: int):
-    """argparse type for a whole number >= `minimum`; anything else is a
-    usage error (exit 2) that names the option."""
+def _whole_number(name: str, minimum: int, maximum: int | None = None):
+    """argparse type for a whole number >= `minimum` (and <= `maximum`, if
+    given); anything else is a usage error (exit 2) that names the option."""
 
     def parse(text: str) -> int:
         try:
@@ -110,6 +111,8 @@ def _whole_number(name: str, minimum: int):
             raise argparse.ArgumentTypeError(
                 f"{name} must be a whole number >= {minimum}, got {text!r}"
             )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {maximum}, got {text!r}")
         return value
 
     return parse
@@ -134,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--out", type=Path, default=None)
     camp.add_argument("--seed", type=seed_type, default=None)
     camp.add_argument(
-        "--trials", type=_whole_number("trials", 1), default=None, help="override trial count"
+        "--trials", type=_whole_number("trials", 1, _MAX_TRIALS), default=None,
+        help="override trial count",
     )
     camp.add_argument(
         "--threads", type=_whole_number("threads", 1), default=1, help="worker threads"

@@ -152,19 +152,10 @@ class EstimatorSettings:
         return _step_grid(self.angle_min_deg, self.angle_max_deg, self.angle_step_deg)
 
     def range_grid(self) -> np.ndarray:
-        return _range_grid(self.range_min, self.range_max, self.range_points).copy()
+        return np.geomspace(self.range_min, self.range_max, self.range_points)
 
     def resolve_trim(self, coupling_band: int) -> int:
         return self.trim if self.trim is not None else coupling_band
-
-
-@functools.lru_cache(maxsize=4)
-def _range_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """`EstimatorSettings.range_grid`, built once per (lo, hi, points) and
-    shared read-only."""
-    grid = np.geomspace(lo, hi, points)
-    grid.flags.writeable = False
-    return grid
 
 
 def _step_grid(lo: float, hi: float, step: float) -> np.ndarray:

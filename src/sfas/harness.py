@@ -73,6 +73,10 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("snr_db", "snapshots", "none")
+# The most trials per sweep point: `run_campaign` builds every (sweep point,
+# trial) job and keeps every scored outcome until it reduces, about 0.6 kB a
+# job with two estimators, so 10^6 trials hold about 0.6 GB per point.
+_MAX_TRIALS = 10**6
 # Columns of rmse.csv and crb.csv, so bound curves overlay the RMSE rows.
 _LONG_FORM_HEADER = ["sweep_value", "estimator", "source", "metric", "value"]
 
@@ -121,6 +125,8 @@ class Campaign:
         object.__setattr__(self, "cells", tuple(cells))
         if self.trials < 1:
             raise ScenarioFileError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > _MAX_TRIALS:
+            raise ScenarioFileError(f"trials must be <= {_MAX_TRIALS}")
         if not self.estimators:
             raise ScenarioFileError("estimators must name at least one estimator")
         for name in self.estimators:

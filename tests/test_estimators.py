@@ -1141,13 +1141,7 @@ def _window_args(draw):
     return center, halfwidth, step, lo, hi
 
 
-_MEMOIZED_BUILDERS = {
-    "_window_grid": _window_args(),
-    "_range_grid": st.tuples(
-        st.sampled_from([5, 5.0, 20.0]), st.sampled_from([2e4, 20000, 6000.0]),
-        st.sampled_from([2, 40, 200]) | st.integers(2, 300).map(np.int64),
-    ),
-}
+_MEMOIZED_BUILDERS = {"_window_grid": _window_args()}
 
 
 class TestAxisMemos:
@@ -1176,7 +1170,7 @@ class TestAxisMemos:
     def test_clear_steering_caches_empties_every_memo(self, mixed_scenario):
         memos = (
             estimators._lattice_columns, estimators._far_field_manifold,
-            estimators._window_grid, estimators._range_grid,
+            estimators._window_grid,
         )
         run_single_shot(mixed_scenario)
         assert all(memo.cache_info().currsize for memo in memos)

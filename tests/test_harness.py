@@ -40,10 +40,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Values a hand-edited file could hold where a shipped file has a number or
 # a word: wrong kinds, empty containers, zero, signs and magnitudes at the
-# edges of a float.
+# edges of a float (the largest, the least subnormal, past int64), and
+# text that `float()` reads as a number.
 HOSTILE_LEAVES = (
     None, True, False, 0, -1, 1.0e308, math.nan, math.inf, -math.inf,
     "", "x" * 50, [], {}, 2.5, 1.0e-300, 10**30,
+    -0.0, 5e-324, 2**63, 1.7976931348623157e308,
+    "1e3", " 7 ", "1_000", "-0", "NaN", "Infinity", "1e999", "\u0663",
 )
 # Grids coarse enough for a single shot in a fraction of a second.
 COARSE_SETTINGS = {
@@ -646,6 +649,39 @@ class TestCampaign:
                 serial = (Path(tmp) / "serial" / name).read_bytes()
                 assert (Path(tmp) / "pool" / name).read_bytes() == serial, (threads, name)
 
+    @staticmethod
+    def outputs_at_threads(camp, tmp_path):
+        """rmse.csv and trial_errors.csv of `camp` at 1, 2 and 3 threads."""
+        outputs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"threads{threads}"
+            run_campaign(camp, out_dir=out, threads=threads)
+            outputs.append([(out / name).read_bytes() for name in ("rmse.csv", "trial_errors.csv")])
+        return outputs
+
+    def test_thread_count_does_not_change_coupled_bytes(self, tmp_path):
+        # two_stage_mc's products cross OpenBLAS's threading threshold and
+        # share the column stores with two_stage's
+        _, _, camp = load_file(SCENARIO_DIR / "coupled_extended_single_shot.yaml")
+        camp = replace(camp, trials=3)
+        assert camp.estimators == ("two_stage", "two_stage_mc")
+        first, *others = self.outputs_at_threads(camp, tmp_path)
+        assert all(run == first for run in others)
+
+    def test_thread_count_does_not_change_oracle_bytes(self, tmp_path):
+        # oracle_2d scores a full (angle, range) grid, the longest numpy calls of any trial
+        scen = small_scenario(
+            sources=(SourceTruth.from_degrees(10.0, 100.0),),
+            config_compressed=ArrayConfig(8, 0.5, 0.2),
+            config_extended=ArrayConfig(8, 0.5, 2.0),
+        )
+        camp = Campaign(
+            scenario=scen, sweep="snr_db", values=(5.0, 15.0), trials=2,
+            estimators=("oracle_2d",),
+        )
+        first, *others = self.outputs_at_threads(camp, tmp_path)
+        assert all(run == first for run in others)
+
     def test_outputs_do_not_depend_on_cache_state(self, tmp_path):
         # cold, warm, and warmed on another scene: the same bytes at 1 and 2 threads
         camp = Campaign(
@@ -1061,6 +1097,9 @@ class TestCli:
                 ("campaign", "campaign: values 1e+308: invalid scenario: snapshots must be <= "),
             base.replace("snr_db: 20.0", "snr_db: -4000.0"):
                 ("single-shot", "snr_db must be >= -90, got -4000.0"),
+            # passed `validate`, and `campaign` would have built 10^30 jobs
+            snapshots.replace("trials: 100", "trials: 1.0e+30"):
+                ("campaign", "campaign: trials must be <= 1000000"),
         }
         # Every rule of the campaign section names it and its key.
         for old, new in (
@@ -1077,21 +1116,33 @@ class TestCli:
                 out = [] if verb == "validate" else ["--out", str(tmp_path / "huge")]
                 assert cli_main([verb, str(path), *out]) == 2, (verb, key)
                 assert key in capsys.readouterr().err, (verb, key)
+        # The bound itself loads (nothing runs it); one trial more from the
+        # command line is a usage error naming the option.
+        path.write_text(snapshots.replace("trials: 100", "trials: 1000000"))
+        assert cli_main(["validate", str(path)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["campaign", str(path), "--trials", "1000001",
+                      "--out", str(tmp_path / "huge")])
+        assert exit_info.value.code == 2
+        assert "argument --trials: trials must be <= 1000000, got '1000001'" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "huge").exists()
 
-    @hyp_settings(max_examples=25, deadline=None)
+    @hyp_settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_one_hostile_leaf_gives_a_result_or_a_diagnosis(self, data):
-        """A shipped file with one leaf set to a hostile value either runs
-        (`validate` may exit 1 on a failed check) or exits 2 with an
+        """A shipped file with one or two leaves set to hostile values either
+        runs (`validate` may exit 1 on a failed check) or exits 2 with an
         `error:` line; no verb raises."""
         name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
         tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
-        *parents, leaf = data.draw(st.sampled_from(leaf_paths(tree)), "leaf")
-        node = tree
-        for key in parents:
-            node = node[key]
-        node[leaf] = data.draw(st.sampled_from(HOSTILE_LEAVES), "value")
+        paths = st.lists(st.sampled_from(leaf_paths(tree)), min_size=1, max_size=2, unique=True)
+        for *parents, leaf in data.draw(paths, "leaves"):
+            node = tree
+            for key in parents:
+                node = node[key]
+            node[leaf] = data.draw(st.sampled_from(HOSTILE_LEAVES), "value")
         tree["estimator"] = COARSE_SETTINGS
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / name

@@ -729,6 +729,24 @@ class TestBinaryInterchange:
         assert load_snapshot_block(path).config == ArrayConfig(2)
 
     @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        n=st.integers(1, 12),
+        dtype=st.sampled_from((np.complex64, np.complex128)),
+        data=st.data(),
+    )
+    def test_cut_block_is_diagnosed(self, tmp_path_factory, m, n, dtype, data):
+        """A valid block cut at any length, header or payload, raises a
+        ValueError naming the file; never another exception."""
+        path = tmp_path_factory.mktemp("cut") / "cut.bin"
+        block = SnapshotBlock(np.ones((m, n), dtype=complex), 0.5, ArrayConfig(m))
+        save_snapshot_block(block, path, dtype=dtype)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), "length")])
+        with pytest.raises(ValueError, match="cut.bin"):
+            load_snapshot_block(path)
+
+    @hyp_settings(max_examples=60, deadline=None)
     @given(bits=st.lists(st.integers(0, 8 * simulate._HEADER.size - 1), min_size=1, max_size=4))
     def test_flipped_header_bits_load_or_are_diagnosed(self, tmp_path_factory, bits):
         """A block whose header has bits flipped loads, with at least one
