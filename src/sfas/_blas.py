@@ -1,7 +1,8 @@
 """One OpenBLAS thread while harness work runs.
 
-The harness parallelizes a campaign over trials with its own pool, so
-OpenBLAS threads inside each trial only compete with the pool's workers.
+The harness parallelizes a campaign over trials with forked worker
+processes, so OpenBLAS threads inside each trial only compete with them;
+a child forked inside the block inherits the pin.
 They also make results depend on the host: the last bits of a product such
 as the sample covariance X Xᴴ depend on how many threads computed it.
 `one_blas_thread` pins every OpenBLAS loaded in the process to one thread
@@ -14,6 +15,7 @@ OpenBLAS (another BLAS, or no `/proc/self/maps`) it does nothing.
 from __future__ import annotations
 
 import ctypes
+import os
 import re
 import threading
 from contextlib import contextmanager
@@ -29,6 +31,10 @@ _NAMES = (
 )
 
 _lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a child forked mid-update would find it held forever
+    os.register_at_fork(
+        before=_lock.acquire, after_in_parent=_lock.release, after_in_child=_lock.release
+    )
 _depth = 0
 _saved: list[int] = []
 

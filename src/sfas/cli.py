@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override trial count",
     )
     camp.add_argument(
-        "--threads", type=_whole_number("threads", 1), default=1, help="worker threads"
+        "--threads", type=_whole_number("threads", 1), default=1, help="worker processes"
     )
     camp.set_defaults(fn=_cmd_campaign)
 

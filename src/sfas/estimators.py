@@ -16,6 +16,7 @@ shared by every configuration of the same physical array.
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field, fields
@@ -689,6 +690,12 @@ class _GridCost:
 # the columns of the cells it was asked for.
 _CACHED_LATTICES = 32
 _STORES_LOCK = threading.Lock()  # held for each lookup and fill of a store
+if hasattr(os, "register_at_fork"):  # a child forked mid-fill would find it held forever
+    os.register_at_fork(
+        before=_STORES_LOCK.acquire,
+        after_in_parent=_STORES_LOCK.release,
+        after_in_child=_STORES_LOCK.release,
+    )
 
 
 @dataclass

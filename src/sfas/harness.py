@@ -7,7 +7,8 @@ reproduced from the artifact alone.  A single shot and every campaign
 trial take one path, `_run_trial`: draw the trial's covariances, then run
 estimators of the `_ESTIMATORS` registry on them, each giving a
 `_TrialRecord`.  Trials are deterministic functions of (seed, trial
-index), so the worker count changes wall time only, never a byte of output.
+index), so a campaign can split its jobs over forked worker processes:
+the worker count changes wall time only, never a byte of output.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import os
+import pickle
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -816,6 +817,55 @@ def _record_rows(record: RmseRecord) -> list[list[str]]:
     return rows
 
 
+def _fork_chunk(trial_fn, jobs: list) -> tuple[int, int]:
+    """Fork a child that runs `jobs` through `trial_fn` and writes to a
+    pipe the pickled (True, outcomes), or (False, exception) for the first
+    exception a trial raises; (child pid, read end of the pipe).  The child
+    ends with `os._exit`, so it runs no exit handler and flushes no buffer
+    it inherited."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, [trial_fn(job) for job in jobs])
+            except Exception as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _chunk_outcomes(pid: int, payload: bytes, status: int) -> list:
+    """The outcomes a reaped child wrote, or its trial's exception
+    re-raised; a RuntimeError if the child failed or its payload does not load."""
+    code = os.waitstatus_to_exitcode(status)
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:
+        ok = None
+    if code != 0 or ok is None:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(
+            f"campaign worker {pid} ended with {how} after writing {len(payload)} bytes, "
+            "not a whole payload"
+        )
+    if not ok:
+        raise value
+    return value
+
+
 @one_blas_thread()
 def run_campaign(
     campaign: Campaign,
@@ -824,21 +874,30 @@ def run_campaign(
 ) -> list[RmseRecord]:
     """Monte-Carlo sweep with deterministic per-trial seeding.
 
-    Every (sweep cell, trial) of the campaign is scheduled on one bounded
-    thread pool of at most `threads` workers, with OpenBLAS held at one
-    thread meanwhile (see `_blas`), so the pool is the only parallelism.
-    Jobs are scheduled cell-major, so the trials of one cell run back to
-    back: they refine around the same seeds, so consecutive jobs reuse
-    the same lattice column stores (see `estimators._GridCost.cells`)
-    before other cells evict them.  The cells of an SNR sweep, the
-    noiseless one included, still share each trial's random draws,
-    because a trial's covariances are built from one Wishart factor per
-    stage that does not depend on the SNR (see
+    The (sweep cell, trial) jobs of the campaign run cell-major, so the
+    trials of one cell run back to back: they refine around the same
+    seeds, so consecutive jobs reuse the same lattice column stores (see
+    `estimators._GridCost.cells`) before other cells evict them.  The job
+    list is cut into `workers` contiguous chunks, `workers` being the
+    least of `threads`, the CPUs this process may run on and the job
+    count.  Each chunk after the first runs in a child forked for this
+    call, which inherits the caller's warm caches and writes its pickled
+    outcomes to a pipe; the caller runs the first chunk and the CRB bounds
+    meanwhile, then reads and reaps each child in chunk order.  One worker
+    forks nothing, and neither does a platform without `os.fork`.  If any
+    exception reaches the caller, a child's included, every child still
+    running is killed and reaped.  OpenBLAS is held at one thread
+    meanwhile, in the children too (see `_blas`), so the workers are the
+    only parallelism.
+
+    The cells of an SNR sweep, the noiseless one included, share each
+    trial's random draws, because a trial's covariances are built from one
+    Wishart factor per stage that does not depend on the SNR (see
     `simulate.draw_covariance`); the cells of a snapshot sweep draw
-    independently.  Each cell is reduced from its contiguous slice of
-    the outcomes, in (cell, trial) order, so the outputs depend neither
-    on `threads` nor on the host's BLAS thread count.  Per-trial
-    estimator failures are counted and excluded, never fatal.
+    independently.  Each cell is reduced from its contiguous slice of the
+    outcomes, in (cell, trial) order, so the outputs depend neither on
+    `threads` nor on the host's BLAS thread count.  Per-trial estimator
+    failures are counted and excluded, never fatal.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -851,15 +910,34 @@ def run_campaign(
         records = _run_trial(scenario, campaign.settings, campaign.estimators, trial)
         return {name: _score(scenario, record) for name, record in records.items()}
 
-    workers = min(threads, len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # The pool starts on every trial at once; the bounds overlap them.
-        pending = pool.map(trial_fn, jobs) if pool else map(trial_fn, jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1, len(jobs)) if hasattr(os, "fork") else 1
+    cuts = [len(jobs) * k // workers for k in range(workers + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end) of each child not yet reaped
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            children.append(_fork_chunk(trial_fn, jobs[start:stop]))
+        outcomes = [trial_fn(job) for job in jobs[: cuts[1]]]
         bounds = [
             _bounds(scenario) if scenario.noise_variance > 0.0 else (None, None)
             for scenario in cells
         ]
-        outcomes = list(pending)
+        while children:
+            pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read_fd)
+            outcomes += _chunk_outcomes(pid, payload, status)
+    finally:
+        if children:
+            import signal  # only on this path: `import sfas` does not load it
+
+            for pid, read_fd in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_fd)
 
     records: list[RmseRecord] = []
     rmse_rows: list[list[str]] = []

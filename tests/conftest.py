@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,30 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 cli_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(cli_digest)
+
+
+# CPUs this process may run on: a pooled campaign forks at most CPUS - 1 workers.
+CPUS = len(os.sched_getaffinity(0))
+
+
+class ProcessLog:
+    """Records appended to a file, one write each, with the pid of the
+    process that made them: the records of the workers a campaign forks
+    reach the test too, where a list in memory would keep the caller's only."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+    def add(self, record) -> None:
+        with open(self.path, "a") as log:
+            log.write(repr((os.getpid(), record)) + "\n")
+
+    def records(self) -> list[tuple[int, object]]:
+        return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]
 
 
 def clear_steering_caches():

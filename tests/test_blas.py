@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CPUS, ProcessLog
 from sfas import _blas, harness
 from sfas.geometry import SourceTruth
 from sfas.harness import Campaign, run_campaign
@@ -79,12 +80,13 @@ class TestPin:
             assert blas_threads() == [1] * len(prior_count)
         assert blas_threads() == prior_count
 
-    def test_concurrent_campaigns_restore(self, prior_count, monkeypatch):
-        seen: list[list[int]] = []
+    def test_concurrent_campaigns_restore(self, prior_count, monkeypatch, tmp_path):
+        # Each campaign forks a worker: the log keeps the records of every process.
+        log = ProcessLog(tmp_path / "blas.log")
         original = harness._run_trial
 
         def recording(*args):
-            seen.append(blas_threads())
+            log.add(blas_threads())
             return original(*args)
 
         monkeypatch.setattr(harness, "_run_trial", recording)
@@ -103,8 +105,10 @@ class TestPin:
             w.join(timeout=120)
             assert not w.is_alive()
         assert not errors
+        seen = log.records()
         assert len(seen) == 2 * 2 * 3
-        assert all(counts == [1] * len(prior_count) for counts in seen)
+        assert all(counts == [1] * len(prior_count) for _, counts in seen)
+        assert len({pid for pid, _ in seen}) >= min(2, CPUS)
         assert blas_threads() == prior_count
 
     def test_many_threads_enter_and_leave(self, prior_count):

@@ -1,4 +1,5 @@
 import itertools
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import clear_steering_caches
-from sfas import estimators
+from conftest import CPUS, ProcessLog, clear_steering_caches
+from sfas import estimators, harness
 from sfas.coupling import CouplingModel
 from sfas.estimators import (
     _CACHED_LATTICES,
@@ -1066,17 +1067,42 @@ class TestColumnCache:
         monkeypatch.setattr(estimators, "esg_manifold_centered", counting)
         return counted
 
-    def test_cold_campaign_columns_do_not_depend_on_threads(self, mixed_scenario, monkeypatch):
-        # a store computes each missing column once, under _STORES_LOCK, so a
-        # cold pass computes the same columns at any thread count
+    def test_cold_campaign_columns_do_not_depend_on_threads(
+        self, mixed_scenario, monkeypatch, tmp_path
+    ):
+        # a store computes each missing column once, and a forked worker
+        # starts from the caller's cold stores, so each process of a pooled
+        # cold pass computes the columns of a serial cold run of its chunk
         campaign = Campaign(scenario=replace(mixed_scenario, seed=1401), trials=16)
-        totals = []
-        for threads in (1, 2):
+        log = ProcessLog(tmp_path / "columns.log")
+
+        def counting(angles_rad, ranges, config):
+            log.add(len(angles_rad))
+            return esg_manifold_centered(angles_rad, ranges, config)
+
+        monkeypatch.setattr(estimators, "esg_manifold_centered", counting)
+        chunks = {}  # pid -> the jobs that process ran
+        fork_chunk = harness._fork_chunk
+
+        def forking(trial_fn, jobs):
+            pid, read_fd = fork_chunk(trial_fn, jobs)
+            chunks[pid] = jobs
+            return pid, read_fd
+
+        monkeypatch.setattr(harness, "_fork_chunk", forking)
+        clear_steering_caches()
+        run_campaign(campaign, threads=2)
+        pooled = log.records()
+        jobs = [(scenario, trial) for scenario in campaign.cells for trial in range(16)]
+        chunks[os.getpid()] = jobs[: len(jobs) - sum(map(len, chunks.values()))]
+        assert len(chunks) == min(2, CPUS)
+        for pid, chunk in chunks.items():
             clear_steering_caches()
-            counted = self.count_columns(monkeypatch)
-            run_campaign(campaign, threads=threads)
-            totals.append(sum(counted))
-        assert totals[0] > 0 and totals[1] == totals[0]
+            log.clear()
+            for scenario, trial in chunk:
+                harness._run_trial(scenario, campaign.settings, campaign.estimators, trial)
+            serial = sum(n for _, n in log.records())
+            assert serial > 0 and sum(n for p, n in pooled if p == pid) == serial, pid
 
     def test_threads_filling_one_lattice_agree(self, monkeypatch):
         # in each round 4 threads fill one new 36-cell lattice at once, each

@@ -4,18 +4,24 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from conftest import clear_steering_caches
+from conftest import CPUS, ProcessLog, clear_steering_caches
 from sfas import estimators, harness, simulate
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
@@ -65,6 +71,15 @@ def leaf_paths(node, path=()):
     else:
         return [path]
     return [leaf for key, child in items for leaf in leaf_paths(child, (*path, key))]
+
+
+@contextlib.contextmanager
+def forks_checked(threads: int):
+    """Checks that a campaign run in the block at `threads` forks workers
+    where the host has the CPUs for them, and none at one thread."""
+    with mock.patch.object(harness, "_fork_chunk", wraps=harness._fork_chunk) as fork:
+        yield
+    assert (fork.call_count > 0) == (threads > 1 and CPUS > 1), (threads, fork.call_count)
 
 
 def small_scenario(**kw):
@@ -632,7 +647,8 @@ class TestCampaign:
         out1 = tmp_path / "one"
         out4 = tmp_path / "four"
         run_campaign(camp, out_dir=out1, threads=1)
-        run_campaign(camp, out_dir=out4, threads=4)
+        with forks_checked(4):
+            run_campaign(camp, out_dir=out4, threads=4)
         assert (out1 / "rmse.csv").read_bytes() == (out4 / "rmse.csv").read_bytes()
         assert (out1 / "trial_errors.csv").read_bytes() == (out4 / "trial_errors.csv").read_bytes()
 
@@ -644,7 +660,8 @@ class TestCampaign:
         names = ("rmse.csv", "trial_errors.csv")
         with tempfile.TemporaryDirectory() as tmp:
             run_campaign(camp, out_dir=Path(tmp) / "serial", threads=1)
-            run_campaign(camp, out_dir=Path(tmp) / "pool", threads=threads)
+            with forks_checked(threads):
+                run_campaign(camp, out_dir=Path(tmp) / "pool", threads=threads)
             for name in names:
                 serial = (Path(tmp) / "serial" / name).read_bytes()
                 assert (Path(tmp) / "pool" / name).read_bytes() == serial, (threads, name)
@@ -655,7 +672,8 @@ class TestCampaign:
         outputs = []
         for threads in (1, 2, 3):
             out = tmp_path / f"threads{threads}"
-            run_campaign(camp, out_dir=out, threads=threads)
+            with forks_checked(threads):
+                run_campaign(camp, out_dir=out, threads=threads)
             outputs.append([(out / name).read_bytes() for name in ("rmse.csv", "trial_errors.csv")])
         return outputs
 
@@ -695,7 +713,8 @@ class TestCampaign:
 
         def outputs(threads):
             out = tmp_path / f"run{len(runs)}"
-            run_campaign(camp, out_dir=out, threads=threads)
+            with forks_checked(threads):
+                run_campaign(camp, out_dir=out, threads=threads)
             runs.append([(out / name).read_bytes() for name in ("rmse.csv", "trial_errors.csv")])
 
         for threads in (1, 2):
@@ -706,14 +725,15 @@ class TestCampaign:
             outputs(threads)
         assert all(run == runs[0] for run in runs)
 
-    def test_snr_cells_of_a_trial_share_one_wishart_factor(self, monkeypatch):
+    def test_snr_cells_of_a_trial_share_one_wishart_factor(self, monkeypatch, tmp_path):
         """The cells of an SNR sweep, the noiseless one included, build each
         (trial, stage) covariance from one Wishart factor; the cells of a
-        snapshot sweep key theirs apart, so they draw independently."""
-        keys = []
+        snapshot sweep key theirs apart, so they draw independently.  The
+        keys are logged from the caller and its forked worker alike."""
+        log = ProcessLog(tmp_path / "keys.log")
         factor = simulate._wishart_factor
         monkeypatch.setattr(
-            simulate, "_wishart_factor", lambda *key: keys.append(key) or factor(*key)
+            simulate, "_wishart_factor", lambda *key: log.add(key) or factor(*key)
         )
         scen = small_scenario(snapshots=40)
         estimators_ = ("two_stage", "baseline_ff_music")  # three stages a trial
@@ -724,8 +744,10 @@ class TestCampaign:
         # (campaign, distinct factors): one per (trial, stage), and per cell
         # too in a snapshot sweep.
         for camp, distinct in ((snr, 5 * 3), (snapshots, 3 * 3 * 3)):
-            keys.clear()
+            log.clear()
             run_campaign(camp, threads=2)
+            assert len({pid for pid, _ in log.records()}) == min(2, CPUS)
+            keys = [key for _, key in log.records()]
             assert len(keys) == len(camp.values) * camp.trials * 3
             assert len(set(keys)) == distinct, camp.sweep
 
@@ -790,18 +812,24 @@ class TestCampaign:
         for bad in (0, -1):
             with pytest.raises(ValueError, match=f"threads must be >= 1, got {bad}"):
                 run_campaign(camp, threads=bad)
-        started: list[int] = []
-        real_pool = harness.ThreadPoolExecutor
-
-        def pool(max_workers):
-            started.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        started: list[int] = []  # the job count of each forked chunk
+        fork_chunk = harness._fork_chunk
+        monkeypatch.setattr(
+            harness, "_fork_chunk", lambda fn, jobs: started.append(len(jobs)) or fork_chunk(fn, jobs)
+        )
+        # Two jobs get the caller and one child; one job forks nothing.
         run_campaign(camp, threads=8)
+        assert started == ([1] if CPUS >= 2 else [])
+        started.clear()
         run_campaign(replace(camp, trials=1), threads=8)
-        # Two jobs get two workers; one job runs without a pool.
-        assert started == [2]
+        assert started == []
+        # Eight jobs get one worker per CPU, the caller being one of them.
+        run_campaign(replace(camp, trials=8), threads=8)
+        assert len(started) == min(8, CPUS) - 1
+        started.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_campaign(replace(camp, trials=8), threads=8)
+        assert started == []
 
     def test_metadata_header_embeds_config(self, tmp_path):
         scen = small_scenario()
@@ -812,6 +840,123 @@ class TestCampaign:
         assert head[0].startswith("# version: sfas")
         blob = json.loads(head[1].removeprefix("# config: "))
         assert blob["seed"] == scen.seed
+
+
+class TestWorkers:
+    """The forked workers of a pooled campaign: each forks while no thread
+    holds an sfas lock, what stops one reaches the caller, and no child
+    outlives the call."""
+
+    @staticmethod
+    def campaign():
+        # 6 jobs; at 3 workers, chunks of 2 in job order: the caller runs
+        # (5 dB, trials 0-1), one child (5 dB, 2) and (15 dB, 0), the other
+        # (15 dB, 1-2).
+        return Campaign(scenario=small_scenario(), sweep="snr_db", values=(5.0, 15.0), trials=3)
+
+    @pytest.fixture
+    def three_workers(self, monkeypatch):
+        """Three CPUs as far as `run_campaign` sees, on any host."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    @staticmethod
+    def replace_jobs(monkeypatch, **actions):
+        """Run `actions["<snr>_<trial>"]()` in place of that job's trial."""
+        run_trial = harness._run_trial
+
+        def trial(scenario, settings, estimators_, index, *rest):
+            action = actions.get(f"{scenario.snr_db:g}_{index}")
+            if action is not None:
+                return action()
+            return run_trial(scenario, settings, estimators_, index, *rest)
+
+        monkeypatch.setattr(harness, "_run_trial", trial)
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_concurrent_pooled_campaigns_match_serial(self, tmp_path):
+        camp = self.campaign()
+        names = ("rmse.csv", "trial_errors.csv")
+        run_campaign(camp, out_dir=tmp_path / "serial")
+        errors: list[Exception] = []
+
+        def pooled(k):
+            try:
+                run_campaign(camp, out_dir=tmp_path / f"pool{k}", threads=2)
+            except Exception as exc:  # re-checked by the main thread
+                errors.append(exc)
+
+        # A short switch interval, so one thread forks while the other is
+        # inside a column store or the BLAS pin.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [threading.Thread(target=pooled, args=(k,), daemon=True) for k in range(2)]
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert not errors
+        for name in names:
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert [(tmp_path / f"pool{k}" / name).read_bytes() for k in range(2)] == [serial] * 2
+        self.assert_no_children()
+
+    def test_child_exception_reraised_and_every_child_reaped(self, monkeypatch, three_workers):
+        def fail():
+            raise ZeroDivisionError("trial 2 divided by zero")
+
+        # The first child fails while the second is still busy.
+        self.replace_jobs(monkeypatch, **{"5_2": fail, "15_1": lambda: time.sleep(60)})
+        t0 = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="trial 2 divided by zero"):
+            run_campaign(self.campaign(), threads=3)
+        assert time.monotonic() - t0 < 30
+        self.assert_no_children()
+
+    def test_caller_interrupt_kills_every_child(self, monkeypatch, three_workers):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        sleep = lambda: time.sleep(60)  # noqa: E731
+        self.replace_jobs(monkeypatch, **{"5_1": interrupt, "5_2": sleep, "15_1": sleep})
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(self.campaign(), threads=3)
+        assert time.monotonic() - t0 < 30
+        self.assert_no_children()
+
+    @pytest.mark.parametrize(
+        "death, message",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)} "),
+            (lambda: os._exit(3), "exit status 3 after writing 0 bytes"),
+        ],
+        ids=["killed", "exited"],
+    )
+    def test_dead_child_raises_runtime_error(self, monkeypatch, three_workers, death, message):
+        # The first child dies while the second is still busy.
+        self.replace_jobs(monkeypatch, **{"5_2": death, "15_1": lambda: time.sleep(60)})
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"campaign worker \\d+ ended with {message}"):
+            run_campaign(self.campaign(), threads=3)
+        assert time.monotonic() - t0 < 30
+        self.assert_no_children()
+
+    def test_truncated_payload_raises_runtime_error(self, monkeypatch, three_workers):
+        cut = SimpleNamespace(dumps=lambda obj: pickle.dumps(obj)[:-3], loads=pickle.loads)
+        monkeypatch.setattr(harness, "pickle", cut)
+        with pytest.raises(
+            RuntimeError, match=r"ended with exit status 0 after writing \d+ bytes, not a whole"
+        ):
+            run_campaign(self.campaign(), threads=3)
+        self.assert_no_children()
 
 
 class TestValidateSuite:
