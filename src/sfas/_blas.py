@@ -6,18 +6,17 @@ a child forked inside the block inherits the pin.
 They also make results depend on the host: the last bits of a product such
 as the sample covariance X Xᴴ depend on how many threads computed it.
 `one_blas_thread` pins every OpenBLAS loaded in the process to one thread
-for the duration of a `with` block and then restores the caller's count.
-Nested and concurrent blocks share one pin: the first to enter saves the
-count and sets it to one, the last to leave restores it.  Without an
-OpenBLAS (another BLAS, or no `/proc/self/maps`) it does nothing.
+for the duration of a `with` block and then restores the count it found,
+so in nested blocks the outer one restores the caller's.  It is not
+thread-safe: blocks that overlap in two threads may restore in the wrong
+order.  Without an OpenBLAS (another BLAS, or no `/proc/self/maps`) it
+does nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 import re
-import threading
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -29,14 +28,6 @@ _NAMES = (
     ("openblas_", "64_"),
     ("openblas_", ""),
 )
-
-_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):  # a child forked mid-update would find it held forever
-    os.register_at_fork(
-        before=_lock.acquire, after_in_parent=_lock.release, after_in_child=_lock.release
-    )
-_depth = 0
-_saved: list[int] = []
 
 
 @cache
@@ -67,19 +58,12 @@ def _controls() -> tuple[tuple[object, object], ...]:
 @contextmanager
 def one_blas_thread():
     """Run the block with every loaded OpenBLAS at one thread."""
-    global _depth, _saved
-    with _lock:
-        if _depth == 0:
-            controls = _controls()
-            _saved = [get() for get, _ in controls]
-            for _, set_ in controls:
-                set_(1)
-        _depth += 1
+    controls = _controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
     try:
         yield
     finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for (_, set_), count in zip(_controls(), _saved):
-                    set_(count)
+        for (_, set_), count in zip(controls, saved):
+            set_(count)

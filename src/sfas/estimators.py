@@ -16,8 +16,6 @@ shared by every configuration of the same physical array.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -67,6 +65,9 @@ class UnderResolutionError(RuntimeError):
         super().__init__(
             f"found {len(self.peaks_found)} separated peaks, need {needed}"
         )
+
+    def __reduce__(self):  # the default would call __init__ with the message alone
+        return type(self), (self.needed, self.peaks_found)
 
 
 # The most points a search axis may hold (stage-1 angles, ranges, both axes
@@ -671,31 +672,22 @@ class _GridCost:
         width and offset of the batch (OpenBLAS did for 178 of 522 batches
         tried at M = 32), so a change to which cells a walk asks for
         together moves the last bits of costs whose columns stay fixed.
-        Missing columns are computed once, under `_STORES_LOCK`."""
-        with _STORES_LOCK:
-            store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
-            miss = store.slots[rows, cols] < 0
-            if miss.any():
-                r, c = rows[miss], cols[miss]
-                new = esg_manifold_centered(np.deg2rad(angles_deg[r]), ranges[c], self.config)
-                count = store.columns.shape[1]
-                store.slots[r, c] = np.arange(count, count + new.shape[1])
-                store.columns = np.concatenate((store.columns, new), axis=1)
-            slots, columns = store.slots[rows, cols], store.columns
-        return self.column_cost(np.take(columns, slots, axis=1))
+        Missing columns are computed once."""
+        store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
+        miss = store.slots[rows, cols] < 0
+        if miss.any():
+            r, c = rows[miss], cols[miss]
+            new = esg_manifold_centered(np.deg2rad(angles_deg[r]), ranges[c], self.config)
+            count = store.columns.shape[1]
+            store.slots[r, c] = np.arange(count, count + new.shape[1])
+            store.columns = np.concatenate((store.columns, new), axis=1)
+        return self.column_cost(np.take(store.columns, store.slots[rows, cols], axis=1))
 
 
 # Lattices whose exact-geometry columns stay cached.  A 4-source campaign
 # revisits 28 (about 4,300 columns, 2 MiB at M = 32); a lattice holds only
 # the columns of the cells it was asked for.
 _CACHED_LATTICES = 32
-_STORES_LOCK = threading.Lock()  # held for each lookup and fill of a store
-if hasattr(os, "register_at_fork"):  # a child forked mid-fill would find it held forever
-    os.register_at_fork(
-        before=_STORES_LOCK.acquire,
-        after_in_parent=_STORES_LOCK.release,
-        after_in_child=_STORES_LOCK.release,
-    )
 
 
 @dataclass
@@ -703,9 +695,7 @@ class _LatticeColumns:
     """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
     cell until its column is computed and then the column's index in
     `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested.  `_STORES_LOCK` guards
-    each fill and pairs each read of `slots` with its `columns`, which is
-    replaced, never written, so a gather needs no lock."""
+    holds one column per distinct cell requested."""
 
     slots: np.ndarray
     columns: np.ndarray

@@ -51,6 +51,11 @@ _MAX_RANGE_WL = 1e9
 # in the Rayleigh distance underflows to 0.
 _MIN_SPACING_WL = 1e-6
 
+# The most elements M.  The verbs build M x M arrays: the covariance, the
+# coupling matrix's lag gather, the selection matrix and the CRB's Fisher
+# matrix.  A complex one takes 268 MB at 4096 and 6.4 GB at 20,000.
+_MAX_ELEMENTS = 4096
+
 # The largest source power, relative to the unit power the SNR refers to
 # (90 dB).  At 1e308 the sample covariance overflows, and the CRB's Fisher
 # information holds the power squared.
@@ -83,7 +88,7 @@ class ArrayConfig:
     Attributes
     ----------
     element_count:
-        Number of elements M, an integer >= 2.
+        Number of elements M, an integer from 2 to 4096 (`_MAX_ELEMENTS`).
     baseline_spacing:
         Baseline spacing d0 in wavelengths, finite and > 0 (default 0.5).
     scale:
@@ -101,6 +106,8 @@ class ArrayConfig:
             raise ValueError(f"element_count must be a whole number, got {self.element_count!r}")
         if self.element_count < 2:
             raise ValueError(f"element_count must be >= 2, got {self.element_count}")
+        if self.element_count > _MAX_ELEMENTS:
+            raise ValueError(f"element_count must be <= {_MAX_ELEMENTS}, got {self.element_count}")
         _require_real(self, "baseline_spacing", "scale")
         if not 0 < self.baseline_spacing < np.inf:
             raise ValueError(

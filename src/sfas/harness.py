@@ -19,6 +19,7 @@ import json
 import math
 import os
 import pickle
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -884,7 +885,12 @@ def run_campaign(
     call, which inherits the caller's warm caches and writes its pickled
     outcomes to a pipe; the caller runs the first chunk and the CRB bounds
     meanwhile, then reads and reaps each child in chunk order.  One worker
-    forks nothing, and neither does a platform without `os.fork`.  If any
+    forks nothing, and neither does a platform without `os.fork` nor a
+    process with another Python thread alive: the estimators' column
+    stores take no lock, so a fork while a sibling thread is between
+    filling a store's slots and replacing its columns would copy a
+    half-filled store into the child, whose next fill would point those
+    slots at other cells' columns and give silently wrong costs.  If any
     exception reaches the caller, a child's included, every child still
     running is killed and reaped.  OpenBLAS is held at one thread
     meanwhile, in the children too (see `_blas`), so the workers are the
@@ -911,7 +917,8 @@ def run_campaign(
         return {name: _score(scenario, record) for name, record in records.items()}
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, cpus or 1, len(jobs)) if hasattr(os, "fork") else 1
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(threads, cpus or 1, len(jobs)) if can_fork else 1
     cuts = [len(jobs) * k // workers for k in range(workers + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end) of each child not yet reaped
     try:

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,16 @@ class ProcessLog:
 
     def records(self) -> list[tuple[int, object]]:
         return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fails a test that returns with more Python threads alive than it
+    started with: a pooled campaign forks no worker beside another thread,
+    so a leaked one would quietly run every later pooled campaign serially."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, f"threads left alive: {threading.enumerate()}"
 
 
 def clear_steering_caches():

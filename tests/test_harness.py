@@ -24,7 +24,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from conftest import CPUS, ProcessLog, clear_steering_caches
 from sfas import estimators, harness, simulate
 from sfas.cli import main as cli_main
-from sfas.estimators import DegenerateSubspaceError, EstimatorSettings
+from sfas.estimators import DegenerateSubspaceError, EstimatorSettings, UnderResolutionError
 from sfas.coupling import CouplingModel
 from sfas.geometry import ArrayConfig, SourceTruth
 from sfas.harness import (
@@ -843,8 +843,8 @@ class TestCampaign:
 
 
 class TestWorkers:
-    """The forked workers of a pooled campaign: each forks while no thread
-    holds an sfas lock, what stops one reaches the caller, and no child
+    """The forked workers of a pooled campaign: none forks while another
+    Python thread is alive, what stops one reaches the caller, and no child
     outlives the call."""
 
     @staticmethod
@@ -877,35 +877,29 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_concurrent_pooled_campaigns_match_serial(self, tmp_path):
+    def test_campaign_beside_a_thread_forks_nothing(self, tmp_path, three_workers):
+        # The column stores take no lock, so a fork while another thread
+        # fills one could copy it half-filled: a campaign started beside a
+        # live thread runs serially, and forks again once that thread ends.
         camp = self.campaign()
-        names = ("rmse.csv", "trial_errors.csv")
         run_campaign(camp, out_dir=tmp_path / "serial")
-        errors: list[Exception] = []
-
-        def pooled(k):
-            try:
-                run_campaign(camp, out_dir=tmp_path / f"pool{k}", threads=2)
-            except Exception as exc:  # re-checked by the main thread
-                errors.append(exc)
-
-        # A short switch interval, so one thread forks while the other is
-        # inside a column store or the BLAS pin.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
         try:
-            runs = [threading.Thread(target=pooled, args=(k,), daemon=True) for k in range(2)]
-            for run in runs:
-                run.start()
-            for run in runs:
-                run.join(timeout=120)
+            with mock.patch.object(harness, "_fork_chunk", wraps=harness._fork_chunk) as fork:
+                run_campaign(camp, out_dir=tmp_path / "beside", threads=3)
+            fork.assert_not_called()
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(run.is_alive() for run in runs)
-        assert not errors
-        for name in names:
+            release.set()
+            waiter.join()
+        with mock.patch.object(harness, "_fork_chunk", wraps=harness._fork_chunk) as fork:
+            run_campaign(camp, out_dir=tmp_path / "after", threads=3)
+        assert fork.call_count == 2
+        for name in ("rmse.csv", "trial_errors.csv"):
             serial = (tmp_path / "serial" / name).read_bytes()
-            assert [(tmp_path / f"pool{k}" / name).read_bytes() for k in range(2)] == [serial] * 2
+            for run in ("beside", "after"):
+                assert (tmp_path / run / name).read_bytes() == serial, (run, name)
         self.assert_no_children()
 
     def test_child_exception_reraised_and_every_child_reaped(self, monkeypatch, three_workers):
@@ -918,6 +912,15 @@ class TestWorkers:
         with pytest.raises(ZeroDivisionError, match="trial 2 divided by zero"):
             run_campaign(self.campaign(), threads=3)
         assert time.monotonic() - t0 < 30
+        self.assert_no_children()
+
+    def test_child_under_resolution_error_reraised(self, monkeypatch, three_workers):
+        def fail():
+            raise UnderResolutionError(4, [1.0, 2.0])
+
+        self.replace_jobs(monkeypatch, **{"5_2": fail})  # in the first child
+        with pytest.raises(UnderResolutionError, match="found 2 separated peaks, need 4"):
+            run_campaign(self.campaign(), threads=3)
         self.assert_no_children()
 
     def test_caller_interrupt_kills_every_child(self, monkeypatch, three_workers):
@@ -957,6 +960,34 @@ class TestWorkers:
         ):
             run_campaign(self.campaign(), threads=3)
         self.assert_no_children()
+
+
+# One instance of each sfas exception type, with the attributes it carries:
+# a campaign worker sends the exception a trial raises through its pipe.
+SFAS_ERRORS = [
+    (DegenerateSubspaceError("eigenvalue gap below tolerance"), {}),
+    (UnderResolutionError(4, [1.0, 2.0]), {"needed": 4, "peaks_found": [1.0, 2.0]}),
+    (ScenarioFileError("array: element_count must be <= 4096, got 20000"), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "error, attributes", SFAS_ERRORS, ids=[type(error).__name__ for error, _ in SFAS_ERRORS]
+)
+def test_sfas_error_survives_pickle(error, attributes):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    for name, value in attributes.items():
+        assert np.array_equal(getattr(back, name), value), name
+
+
+def test_every_sfas_error_is_listed():
+    defined = {
+        obj for name, module in list(sys.modules.items()) if name.partition(".")[0] == "sfas"
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("sfas")
+    }
+    assert defined == {type(error) for error, _ in SFAS_ERRORS}
 
 
 class TestValidateSuite:
@@ -1242,6 +1273,10 @@ class TestCli:
                 ("campaign", "campaign: values 1e+308: invalid scenario: snapshots must be <= "),
             base.replace("snr_db: 20.0", "snr_db: -4000.0"):
                 ("single-shot", "snr_db must be >= -90, got -4000.0"),
+            # loaded, then ran out of memory building an M x M array in each verb
+            base.replace("element_count: 32", "element_count: 20000").replace(
+                "baseline_spacing: 0.5", "baseline_spacing: 1.0e-5"
+            ): ("single-shot", "array: element_count must be <= 4096, got 20000"),
             # passed `validate`, and `campaign` would have built 10^30 jobs
             snapshots.replace("trials: 100", "trials: 1.0e+30"):
                 ("campaign", "campaign: trials must be <= 1000000"),

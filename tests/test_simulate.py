@@ -89,7 +89,8 @@ class TestScenarioInvariants:
 
 # Field values each type must reject.  A range is bounded above too, by
 # 1e9 wl, because near 1e154 r * r overflows in the manifold; a power by
-# 1e9, a spacing below by 1e-6 wl and a snapshot count by 2**32 - 1.
+# 1e9, a spacing below by 1e-6 wl, an element count by 4096 and a snapshot
+# count by 2**32 - 1.
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 _NON_POSITIVE = _NON_FINITE | st.sampled_from([0.0, -0.0]) | st.floats(max_value=0.0)
 # A count or seed is an int or a numpy integer: a float, even 3.0, a bool
@@ -118,7 +119,7 @@ _BAD_FIELDS = [
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snr_db",
      st.sampled_from([np.nan, -np.inf]) | st.floats(max_value=-90.0, exclude_max=True)
      | _NOT_REAL),
-    (ArrayConfig, {}, "element_count", _NOT_WHOLE),
+    (ArrayConfig, {}, "element_count", _NOT_WHOLE | st.integers(min_value=4097)),
     (CouplingModel, {}, "band", _NOT_WHOLE),
     (Scenario, dict(sources=(SourceTruth(0.1, 100.0),)), "snapshots",
      _NOT_WHOLE | st.integers(min_value=2**32) | st.just(int(1e308))),
