@@ -16,6 +16,7 @@ shared by every configuration of the same physical array.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -71,8 +72,19 @@ class UnderResolutionError(RuntimeError):
 
 
 # The most points a search axis may hold (stage-1 angles, ranges, both axes
-# of both passes): at M = 32 a 10^6-angle stage-1 manifold takes 0.51 GB.
+# of both passes), and the most entries, elements times points, of the
+# manifold over one axis: at M = 32 a 10^6-angle stage-1 manifold takes
+# 0.51 GB, so above M = 32 an axis holds at most _MAX_AXIS_ENTRIES // M.
 _MAX_AXIS_POINTS = 10**6
+_MAX_AXIS_ENTRIES = 32 * _MAX_AXIS_POINTS
+
+# Each pass step, the factor on its span and the span it steps across.
+_PASS_STEPS = (
+    ("pass1_angle_step_deg", 1.0, "window_angle_deg"),
+    ("pass1_range_fraction", 1.0, "window_range_fraction"),
+    ("pass2_angle_step_deg", 1.5, "pass1_angle_step_deg"),
+    ("pass2_range_fraction", 1.5, "pass1_range_fraction"),
+)
 
 
 @dataclass(frozen=True)
@@ -126,35 +138,55 @@ class EstimatorSettings:
              f"-90 <= angle_min_deg < angle_max_deg <= 90 "
              f"(got {self.angle_min_deg}, {self.angle_max_deg})"),
         ]
-        sizes = {"range_points": self.range_points}  # points per search axis
-        if self.angle_step_deg > 0.0:
-            width = self.angle_max_deg - self.angle_min_deg
-            sizes["angle_step_deg"] = width / self.angle_step_deg + 1.0
-        for step, k, span in (
-            ("pass1_angle_step_deg", 1.0, "window_angle_deg"),
-            ("pass1_range_fraction", 1.0, "window_range_fraction"),
-            ("pass2_angle_step_deg", 1.5, "pass1_angle_step_deg"),
-            ("pass2_range_fraction", 1.5, "pass1_range_fraction"),
-        ):
+        for step, k, span in _PASS_STEPS:
             value, bound = getattr(self, step), getattr(self, span)
             within = span if k == 1.0 else f"{k} * {span}"
             rules.append((value <= k * bound, f"{step} <= {within} (got {value}, {bound})"))
-            if value > 0.0:  # a `_window_grid` of half-width k * bound
-                sizes[step] = 2.0 * round(k * bound / value, 0) + 1.0
         rules += [
             (size <= _MAX_AXIS_POINTS,
              f"{name} gives at most {_MAX_AXIS_POINTS} points on its axis (got {size:.7g})")
-            for name, size in sizes.items()
+            for name, size in self._axis_points().items()
         ]
         broken = [rule for ok, rule in rules if not ok]
         if broken:
             raise ValueError("settings must satisfy " + "; ".join(broken))
 
+    def _axis_points(self) -> dict[str, float]:
+        """Points per search axis, by the field that sets them; an axis
+        whose step is not > 0 is left out."""
+        sizes = {"range_points": self.range_points}
+        if self.angle_step_deg > 0.0:
+            width = self.angle_max_deg - self.angle_min_deg
+            sizes["angle_step_deg"] = width / self.angle_step_deg + 1.0
+        for step, k, span in _PASS_STEPS:
+            value = getattr(self, step)
+            if value > 0.0:  # a `_window_grid` of half-width k * span
+                sizes[step] = 2.0 * round(k * getattr(self, span) / value, 0) + 1.0
+        return sizes
+
+    def manifold_rules(self, element_count: int) -> list[str]:
+        """The axes whose manifold at `element_count` elements would hold
+        more than _MAX_AXIS_ENTRIES entries, each as a broken rule."""
+        limit = _MAX_AXIS_ENTRIES // element_count
+        return [
+            f"{name} gives at most {limit} points on its axis at element_count "
+            f"{element_count} (got {size:.7g})"
+            for name, size in self._axis_points().items()
+            if size > limit
+        ]
+
     def angle_grid_deg(self) -> np.ndarray:
         return _step_grid(self.angle_min_deg, self.angle_max_deg, self.angle_step_deg)
 
     def range_grid(self) -> np.ndarray:
-        return np.geomspace(self.range_min, self.range_max, self.range_points)
+        """`range_points` log-spaced ranges, range_min and range_max exact,
+        each from `math.exp`, which does not change with numpy's SIMD
+        dispatch as `np.geomspace` does."""
+        lo, n = self.range_min, self.range_points
+        step = math.log(self.range_max / lo) / (n - 1)
+        grid = np.array([lo * math.exp(k * step) for k in range(n)])
+        grid[-1] = self.range_max
+        return grid
 
     def resolve_trim(self, coupling_band: int) -> int:
         return self.trim if self.trim is not None else coupling_band
@@ -242,6 +274,44 @@ def _noise_quadratic(noise_basis: np.ndarray):
     def cost(manifold: np.ndarray) -> np.ndarray:
         proj = adjoint @ manifold
         return (proj.real**2 + proj.imag**2).sum(axis=0)
+
+    return cost
+
+
+# An exact-geometry column's signal form ||a||^2 - ||U_s^H a||^2 is within
+# 8 M eps ||a||^2 of its noise form (`test_signal_form_matches_noise_form`).
+# A cell keeps it while that bound is at most 2^-24 of its value, so at or
+# above _CANCELLATION_PER_ELEMENT * M * ||a||^2: M * 2^-25, about 1e-6 at
+# M = 32; a cell below goes through `_noise_quadratic`.
+_CANCELLATION_PER_ELEMENT = 8.0 * np.finfo(float).eps * 2.0**24
+
+
+def _squared_norms(manifold: np.ndarray) -> np.ndarray:
+    """||a||^2 per manifold column, its squares added in row order so that
+    a column's value does not depend on its batch.  numpy's column sum
+    adds rows in order for two or more columns but sums a lone column
+    pairwise; `np.add.accumulate`, slower on wide batches, never does."""
+    squares = manifold.real**2 + manifold.imag**2
+    return squares.sum(axis=0) if squares.shape[1] > 1 else np.add.accumulate(squares)[-1]
+
+
+def _signal_quadratic(decomp: SubspaceDecomposition):
+    """The MUSIC denominator ||U_n^H a||^2 = ||a||^2 - ||U_s^H a||^2 per
+    manifold column, as a function of the manifold and its `_squared_norms`:
+    a K-row product in place of the M - K rows of `_noise_quadratic`, which
+    recomputes the columns whose value falls below the cancellation floor
+    (`_CANCELLATION_PER_ELEMENT`)."""
+    adjoint = decomp.signal_basis.conj().T
+    noise_basis = decomp.noise_basis
+    floor = _CANCELLATION_PER_ELEMENT * noise_basis.shape[0]
+
+    def cost(manifold: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        proj = adjoint @ manifold
+        values = norms - (proj.real**2 + proj.imag**2).sum(axis=0)
+        low = values < floor * norms
+        if low.any():
+            values[low] = _noise_quadratic(noise_basis)(manifold[:, low])
+        return values
 
     return cost
 
@@ -653,15 +723,17 @@ def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) 
 @dataclass(frozen=True)
 class _GridCost:
     """Cost function of paired (angles_rad, ranges) points, one value per
-    point: `column_cost` maps the (M, G) exact-geometry manifold to G values
-    (the MUSIC denominator or the rank-reduction eigenvalue).  `cells`
-    evaluates lattice cells from the steering-column cache."""
+    point: `column_cost` maps the (M, G) exact-geometry manifold and its G
+    `_squared_norms` to G values (the MUSIC denominator or the
+    rank-reduction eigenvalue).  `cells` evaluates lattice cells from the
+    steering-column cache."""
 
-    column_cost: Callable[[np.ndarray], np.ndarray]
+    column_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     config: ArrayConfig
 
     def __call__(self, angles_rad, ranges) -> np.ndarray:
-        return self.column_cost(esg_manifold_centered(angles_rad, ranges, self.config))
+        manifold = esg_manifold_centered(angles_rad, ranges, self.config)
+        return self.column_cost(manifold, _squared_norms(manifold))
 
     def cells(self, angles_deg, ranges, rows, cols) -> np.ndarray:
         """The cost at distinct cells (angles_deg[rows], ranges[cols]) of a
@@ -672,7 +744,7 @@ class _GridCost:
         width and offset of the batch (OpenBLAS did for 178 of 522 batches
         tried at M = 32), so a change to which cells a walk asks for
         together moves the last bits of costs whose columns stay fixed.
-        Missing columns are computed once."""
+        Missing columns, and their norms, are computed once."""
         store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
         miss = store.slots[rows, cols] < 0
         if miss.any():
@@ -681,7 +753,9 @@ class _GridCost:
             count = store.columns.shape[1]
             store.slots[r, c] = np.arange(count, count + new.shape[1])
             store.columns = np.concatenate((store.columns, new), axis=1)
-        return self.column_cost(np.take(store.columns, store.slots[rows, cols], axis=1))
+            store.norms = np.concatenate((store.norms, _squared_norms(new)))
+        slots = store.slots[rows, cols]
+        return self.column_cost(np.take(store.columns, slots, axis=1), store.norms[slots])
 
 
 # Lattices whose exact-geometry columns stay cached.  A 4-source campaign
@@ -695,10 +769,12 @@ class _LatticeColumns:
     """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
     cell until its column is computed and then the column's index in
     `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested."""
+    holds one column per distinct cell requested, and in `norms` its
+    `_squared_norms`."""
 
     slots: np.ndarray
     columns: np.ndarray
+    norms: np.ndarray
 
 
 @functools.lru_cache(maxsize=_CACHED_LATTICES)
@@ -706,7 +782,9 @@ def _lattice_columns(config: ArrayConfig, angle_bytes: bytes, range_bytes: bytes
     """The column store of the lattice whose float64 axes (angles in
     degrees, ranges) have these bytes."""
     shape = (np.frombuffer(angle_bytes).size, np.frombuffer(range_bytes).size)
-    return _LatticeColumns(np.full(shape, -1), np.empty((config.element_count, 0), complex))
+    return _LatticeColumns(
+        np.full(shape, -1), np.empty((config.element_count, 0), complex), np.empty(0)
+    )
 
 
 def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -716,7 +794,7 @@ def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
 
 
 def _plain_cost(decomp: SubspaceDecomposition, config: ArrayConfig):
-    return _GridCost(_noise_quadratic(decomp.noise_basis), config)
+    return _GridCost(_signal_quadratic(decomp), config)
 
 
 def stage2_refine(
@@ -838,7 +916,7 @@ def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
     if not 1 <= band <= m - 1:
         raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
     stack = _mc_noise_stack(decomp.noise_basis, band)
-    return _GridCost(lambda manifold: _mc_min_eigenvalues(stack, manifold, band), config)
+    return _GridCost(lambda manifold, norms: _mc_min_eigenvalues(stack, manifold, band), config)
 
 
 def mc_music_spectrum(

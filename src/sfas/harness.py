@@ -416,6 +416,11 @@ def load_file(path) -> tuple[Scenario, EstimatorSettings, Campaign | None]:
     settings = _fields_from_dict(
         EstimatorSettings, top.get("estimator") or {}, "estimator", problems
     )
+    if scenario is not None:
+        problems += [
+            f"estimator: {rule}"
+            for rule in settings.manifold_rules(scenario.config_extended.element_count)
+        ]
     if scenario is not None and settings.trim is not None:
         kept = scenario.config_compressed.element_count - 2 * settings.trim
         if kept <= scenario.source_count:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import CPUS, ProcessLog, clear_steering_caches
@@ -975,6 +975,117 @@ class TestLagSums:
             assert peaks.tolist() == sorted(angles)
 
 
+@st.composite
+def _subspace_and_columns(draw):
+    """A decomposition of the covariance of K exact-geometry sources, from
+    near noise level to 120 dB above it, and columns to cost: the sources'
+    own, where the noise form is about 0, then G others."""
+    m = draw(st.integers(3, 64), "M")
+    k = draw(st.integers(1, m - 1), "K")
+    config = ArrayConfig(m, 0.5, draw(st.sampled_from((0.2, 1.0, 2.0, 4.0)), "scale"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "seed"))
+    sources = esg_manifold_centered(
+        np.deg2rad(rng.uniform(-80.0, 80.0, k)), 10.0 ** rng.uniform(1.0, 4.0, k), config
+    )
+    power = 10.0 ** draw(st.floats(-1.0, 12.0), "log10 power")
+    covariance = CovarianceEstimate(power * sources @ sources.conj().T + np.eye(m), 100)
+    try:
+        decomp = decompose(covariance, k)
+    except DegenerateSubspaceError:  # sources too close to split at this power
+        assume(False)
+    g = draw(st.integers(1, 40), "G")
+    others = esg_manifold_centered(
+        np.deg2rad(rng.uniform(-89.0, 89.0, g)), 10.0 ** rng.uniform(0.5, 5.0, g), config
+    )
+    return decomp, np.concatenate((sources, others), axis=1)
+
+
+class TestSignalForm:
+    """The plain exact-geometry cost ||a||^2 - ||U_s^H a||^2 against its
+    oracle and fallback, the noise form ||U_n^H a||^2."""
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(case=_subspace_and_columns())
+    def test_signal_form_matches_noise_form(self, case):
+        """The bound `_CANCELLATION_PER_ELEMENT` is derived from: within
+        8 M eps ||a||^2 of the noise form, also where the two terms cancel
+        (the fallback is switched off)."""
+        decomp, manifold = case
+        norms = estimators._squared_norms(manifold)
+        with mock.patch.object(estimators, "_CANCELLATION_PER_ELEMENT", -np.inf):
+            signal = estimators._signal_quadratic(decomp)(manifold, norms)
+        noise = estimators._noise_quadratic(decomp.noise_basis)(manifold)
+        m = manifold.shape[0]
+        assert np.all(np.abs(signal - noise) <= 8 * m * np.finfo(float).eps * norms)
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(case=_subspace_and_columns())
+    def test_cells_below_the_floor_take_the_noise_form(self, case):
+        decomp, manifold = case
+        norms = estimators._squared_norms(manifold)
+        values = estimators._signal_quadratic(decomp)(manifold, norms)
+        with mock.patch.object(estimators, "_CANCELLATION_PER_ELEMENT", -np.inf):
+            signal = estimators._signal_quadratic(decomp)(manifold, norms)
+        low = signal < estimators._CANCELLATION_PER_ELEMENT * manifold.shape[0] * norms
+        # the fallback's product holds the low columns alone
+        fallback = estimators._noise_quadratic(decomp.noise_basis)(manifold[:, low])
+        assert values[low].tobytes() == fallback.tobytes()
+        assert values[~low].tobytes() == signal[~low].tobytes()
+        assert np.all(values >= 0.0)
+
+    def test_noiseless_source_cell_falls_back(self):
+        # at a noiseless source the cost is 0 up to rounding: the signal
+        # form leaves only the rounding of ||a||^2, so that column, and
+        # only it, is recomputed in the noise form
+        config = ArrayConfig(32, 0.5, 2.0)
+        sources = esg_manifold_centered(np.deg2rad([-20.0, 10.0]), np.array([300.0, 1e3]), config)
+        decomp = decompose(CovarianceEstimate(sources @ sources.conj().T, 100), 2)
+        cells = np.deg2rad([-20.0, -19.0, 0.0]), np.full(3, 300.0)  # the first on a source
+        manifold = esg_manifold_centered(*cells, config)
+        noise_quadratic = estimators._noise_quadratic
+        with mock.patch.object(
+            estimators, "_noise_quadratic", wraps=noise_quadratic
+        ) as fallback:
+            values = _plain_cost(decomp, config)(*cells)
+        assert fallback.call_count == 1
+        oracle = noise_quadratic(decomp.noise_basis)(manifold[:, :1])
+        assert values[0] == oracle[0] and values[0] < 1e-20
+        norms = estimators._squared_norms(manifold)
+        assert np.all(values[1:] >= estimators._CANCELLATION_PER_ELEMENT * 32 * norms[1:])
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stored_norm_does_not_depend_on_the_fill_batch(self, data):
+        """A column's ||a||^2, served from a store filled in random batches
+        or computed in any batch of fresh columns, has the bytes of its
+        norm in the whole lattice's batch, a lone column included."""
+        clear_steering_caches()
+        config = ArrayConfig(data.draw(st.integers(2, 64), "M"), 0.5, 2.0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        n_a, n_r = data.draw(st.integers(1, 12), "angles"), data.draw(st.integers(1, 12), "ranges")
+        angles = np.sort(rng.uniform(-89.0, 89.0, n_a))
+        ranges = np.sort(10.0 ** rng.uniform(0.5, 4.0, n_r))
+        rows, cols = np.divmod(np.arange(n_a * n_r), n_r)
+        whole = estimators._squared_norms(
+            esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
+        )
+        order = rng.permutation(n_a * n_r)
+        cells = st.integers(1, max(1, n_a * n_r - 1))
+        cuts = sorted(data.draw(st.lists(cells, max_size=8), "cuts"))
+        served = _GridCost(lambda manifold, norms: norms, config)
+        for batch in np.split(order, cuts):
+            if len(batch):
+                assert served.cells(angles, ranges, rows[batch], cols[batch]).tobytes() == (
+                    whole[batch].tobytes()
+                )
+        start = data.draw(st.integers(0, n_a * n_r - 1), "offset")
+        stop = data.draw(st.integers(start + 1, n_a * n_r), "end")
+        fresh = esg_manifold_centered(
+            np.deg2rad(angles[rows[start:stop]]), ranges[cols[start:stop]], config
+        )
+        assert estimators._squared_norms(fresh).tobytes() == whole[start:stop].tobytes()
+
+
 class TestColumnCache:
     """Steering columns served from the cache are the bytes computed afresh."""
 
@@ -1010,7 +1121,8 @@ class TestColumnCache:
                 st.integers(0, len(angles) * len(ranges) - 1), min_size=1, unique=True
             ), "cells")
             rows, cols = np.divmod(np.array(cells), len(ranges))
-            served = _GridCost(lambda manifold: manifold, config).cells(angles, ranges, rows, cols)
+            cost = _GridCost(lambda manifold, norms: manifold, config)
+            served = cost.cells(angles, ranges, rows, cols)
             fresh = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
             assert served.flags["C_CONTIGUOUS"] and served.shape == fresh.shape
             assert served.tobytes() == fresh.tobytes()
@@ -1111,7 +1223,7 @@ class TestColumnCache:
         rows, cols = np.divmod(np.arange(36), 6)
         fresh = [esg_manifold_centered(np.deg2rad(a[rows]), ranges[cols], config) for a in lattices]
         orders = [np.random.default_rng(k).permutation(36) for k in range(4)]
-        cost = _GridCost(lambda manifold: manifold, config)
+        cost = _GridCost(lambda manifold, norms: manifold, config)
         clear_steering_caches()
         counted = self.count_columns(monkeypatch)
         served = []
@@ -1175,6 +1287,18 @@ class TestAxisMemos:
         assert grid.flags.writeable
         grid[0] = -1.0
         assert SETTINGS.range_grid()[0] == SETTINGS.range_min
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(
+        lo=st.floats(1e-3, 1e3), ratio=st.floats(1.001, 1e6), points=st.integers(2, 500)
+    )
+    def test_range_grid_is_geomspace_with_exact_ends(self, lo, ratio, points):
+        settings = EstimatorSettings(range_min=lo, range_max=lo * ratio, range_points=points)
+        grid = settings.range_grid()
+        assert grid[0] == settings.range_min and grid[-1] == settings.range_max
+        assert np.all(np.diff(grid) > 0.0)
+        oracle = np.geomspace(settings.range_min, settings.range_max, points)
+        np.testing.assert_allclose(grid, oracle, rtol=1e-13)
 
     def test_clear_steering_caches_empties_every_memo(self, mixed_scenario):
         memos = (

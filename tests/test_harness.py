@@ -1277,6 +1277,15 @@ class TestCli:
             base.replace("element_count: 32", "element_count: 20000").replace(
                 "baseline_spacing: 0.5", "baseline_spacing: 1.0e-5"
             ): ("single-shot", "array: element_count must be <= 4096, got 20000"),
+            # passed `validate`, and `single-shot` would have built an 11.8 GB
+            # stage-1 manifold: 180,001 angles at M = 4096
+            base.replace("element_count: 32", "element_count: 4096").replace(
+                "baseline_spacing: 0.5", "baseline_spacing: 1.0e-3"
+            ) + "\nestimator: {angle_step_deg: 0.001}\n": (
+                "single-shot",
+                "estimator: angle_step_deg gives at most 7812 points on its axis at "
+                "element_count 4096",
+            ),
             # passed `validate`, and `campaign` would have built 10^30 jobs
             snapshots.replace("trials: 100", "trials: 1.0e+30"):
                 ("campaign", "campaign: trials must be <= 1000000"),
