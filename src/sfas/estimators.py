@@ -75,6 +75,10 @@ class UnderResolutionError(RuntimeError):
 # of both passes), and the most entries, elements times points, of the
 # manifold over one axis: at M = 32 a 10^6-angle stage-1 manifold takes
 # 0.51 GB, so above M = 32 an axis holds at most _MAX_AXIS_ENTRIES // M.
+# A pass lattice holds at most _MAX_AXIS_POINTS cells too, each a float64
+# value and an int64 column slot (16 MB at the bound), and, as the
+# single-shot export builds the manifold of the whole pass-1 lattice, at
+# most _MAX_AXIS_ENTRIES // M.
 _MAX_AXIS_POINTS = 10**6
 _MAX_AXIS_ENTRIES = 32 * _MAX_AXIS_POINTS
 
@@ -144,8 +148,8 @@ class EstimatorSettings:
             rules.append((value <= k * bound, f"{step} <= {within} (got {value}, {bound})"))
         rules += [
             (size <= _MAX_AXIS_POINTS,
-             f"{name} gives at most {_MAX_AXIS_POINTS} points on its axis (got {size:.7g})")
-            for name, size in self._axis_points().items()
+             f"{name} gives at most {_MAX_AXIS_POINTS} {what} (got {size:.7g})")
+            for name, size, what in self._search_sizes()
         ]
         broken = [rule for ok, rule in rules if not ok]
         if broken:
@@ -164,14 +168,25 @@ class EstimatorSettings:
                 sizes[step] = 2.0 * round(k * getattr(self, span) / value, 0) + 1.0
         return sizes
 
+    def _search_sizes(self) -> list[tuple[str, float, str]]:
+        """(fields, size, what is sized) of each search axis and of each
+        pass lattice, the product of its two axes."""
+        axes = self._axis_points()
+        sizes = [(name, size, "points on its axis") for name, size in axes.items()]
+        for angle_step, range_step in (_PASS_STEPS[:2], _PASS_STEPS[2:]):
+            if angle_step[0] in axes and range_step[0] in axes:
+                cells = axes[angle_step[0]] * axes[range_step[0]]
+                sizes.append((f"{angle_step[0]} x {range_step[0]}", cells, "cells in its lattice"))
+        return sizes
+
     def manifold_rules(self, element_count: int) -> list[str]:
-        """The axes whose manifold at `element_count` elements would hold
-        more than _MAX_AXIS_ENTRIES entries, each as a broken rule."""
+        """The axes and lattices whose manifold at `element_count` elements
+        would hold more than _MAX_AXIS_ENTRIES entries, each as a broken rule."""
         limit = _MAX_AXIS_ENTRIES // element_count
         return [
-            f"{name} gives at most {limit} points on its axis at element_count "
+            f"{name} gives at most {limit} {what} at element_count "
             f"{element_count} (got {size:.7g})"
-            for name, size in self._axis_points().items()
+            for name, size, what in self._search_sizes()
             if size > limit
         ]
 
@@ -282,17 +297,26 @@ def _noise_quadratic(noise_basis: np.ndarray):
 # 8 M eps ||a||^2 of its noise form (`test_signal_form_matches_noise_form`).
 # A cell keeps it while that bound is at most 2^-24 of its value, so at or
 # above _CANCELLATION_PER_ELEMENT * M * ||a||^2: M * 2^-25, about 1e-6 at
-# M = 32; a cell below goes through `_noise_quadratic`.
+# M = 32; a cell below goes through `_noise_quadratic`.  The band-2
+# coupling-robust Gram T^H T - (U_s^H T)^H (U_s^H T) is within
+# 8 M eps tr(T^H T) of its noise form, and so, by Weyl's inequality, is its
+# lambda_min (`TestMcSignalForm`): the same floor holds with tr(T^H T).
 _CANCELLATION_PER_ELEMENT = 8.0 * np.finfo(float).eps * 2.0**24
 
 
+def _row_order_sum(terms: np.ndarray) -> np.ndarray:
+    """`terms` summed over its second-to-last axis, rows added in order, so
+    that a column's sum does not depend on its batch.  numpy's sum adds
+    rows in order for two or more columns but sums a lone column pairwise;
+    `np.add.accumulate`, slower on wide batches, never does."""
+    if terms.shape[-1] > 1:
+        return terms.sum(axis=-2)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
+
+
 def _squared_norms(manifold: np.ndarray) -> np.ndarray:
-    """||a||^2 per manifold column, its squares added in row order so that
-    a column's value does not depend on its batch.  numpy's column sum
-    adds rows in order for two or more columns but sums a lone column
-    pairwise; `np.add.accumulate`, slower on wide batches, never does."""
-    squares = manifold.real**2 + manifold.imag**2
-    return squares.sum(axis=0) if squares.shape[1] > 1 else np.add.accumulate(squares)[-1]
+    """||a||^2 per manifold column (`_row_order_sum`)."""
+    return _row_order_sum(manifold.real**2 + manifold.imag**2)
 
 
 def _signal_quadratic(decomp: SubspaceDecomposition):
@@ -723,17 +747,19 @@ def _pass1_patch(cost, coarse_angle_deg: float, initial_range: float, settings) 
 @dataclass(frozen=True)
 class _GridCost:
     """Cost function of paired (angles_rad, ranges) points, one value per
-    point: `column_cost` maps the (M, G) exact-geometry manifold and its G
-    `_squared_norms` to G values (the MUSIC denominator or the
+    point: `column_cost` maps the (M, G) exact-geometry manifold and the
+    per-column `terms` of its G columns (their `_squared_norms`, or their
+    `_transform_gram`) to G values (the MUSIC denominator or the
     rank-reduction eigenvalue).  `cells` evaluates lattice cells from the
-    steering-column cache."""
+    steering-column cache, whose stores keep the terms too."""
 
     column_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     config: ArrayConfig
+    terms: Callable[[np.ndarray], np.ndarray] = _squared_norms
 
     def __call__(self, angles_rad, ranges) -> np.ndarray:
         manifold = esg_manifold_centered(angles_rad, ranges, self.config)
-        return self.column_cost(manifold, _squared_norms(manifold))
+        return self.column_cost(manifold, self.terms(manifold))
 
     def cells(self, angles_deg, ranges, rows, cols) -> np.ndarray:
         """The cost at distinct cells (angles_deg[rows], ranges[cols]) of a
@@ -744,7 +770,7 @@ class _GridCost:
         width and offset of the batch (OpenBLAS did for 178 of 522 batches
         tried at M = 32), so a change to which cells a walk asks for
         together moves the last bits of costs whose columns stay fixed.
-        Missing columns, and their norms, are computed once."""
+        Missing columns, and their terms, are computed once."""
         store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
         miss = store.slots[rows, cols] < 0
         if miss.any():
@@ -753,9 +779,9 @@ class _GridCost:
             count = store.columns.shape[1]
             store.slots[r, c] = np.arange(count, count + new.shape[1])
             store.columns = np.concatenate((store.columns, new), axis=1)
-            store.norms = np.concatenate((store.norms, _squared_norms(new)))
         slots = store.slots[rows, cols]
-        return self.column_cost(np.take(store.columns, slots, axis=1), store.norms[slots])
+        terms = store.column_terms(self.terms)[slots]
+        return self.column_cost(np.take(store.columns, slots, axis=1), terms)
 
 
 # Lattices whose exact-geometry columns stay cached.  A 4-source campaign
@@ -769,12 +795,24 @@ class _LatticeColumns:
     """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
     cell until its column is computed and then the column's index in
     `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested, and in `norms` its
-    `_squared_norms`."""
+    holds one column per distinct cell requested.  `terms` maps a
+    per-column function (`_squared_norms`, `_transform_gram`) to its values
+    on the first columns, one row each; as columns are only appended,
+    `column_terms` extends that prefix when a cost asks, so a lattice
+    computes only the terms of the costs that search it, each once per
+    column."""
 
     slots: np.ndarray
     columns: np.ndarray
-    norms: np.ndarray
+    terms: dict = field(default_factory=dict)
+
+    def column_terms(self, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """`term` of every stored column, one row per column."""
+        done = self.terms.get(term)
+        if done is None or len(done) < self.columns.shape[1]:
+            new = term(self.columns[:, 0 if done is None else len(done):])
+            self.terms[term] = done = new if done is None else np.concatenate((done, new))
+        return done
 
 
 @functools.lru_cache(maxsize=_CACHED_LATTICES)
@@ -782,9 +820,7 @@ def _lattice_columns(config: ArrayConfig, angle_bytes: bytes, range_bytes: bytes
     """The column store of the lattice whose float64 axes (angles in
     degrees, ranges) have these bytes."""
     shape = (np.frombuffer(angle_bytes).size, np.frombuffer(range_bytes).size)
-    return _LatticeColumns(
-        np.full(shape, -1), np.empty((config.element_count, 0), complex), np.empty(0)
-    )
+    return _LatticeColumns(np.full(shape, -1), np.empty((config.element_count, 0), complex))
 
 
 def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -832,15 +868,16 @@ def _mc_transform_batch(manifold: np.ndarray, band: int) -> np.ndarray:
     return t
 
 
-def _mc_noise_stack(noise_basis: np.ndarray, band: int) -> np.ndarray:
-    """Rows [U_n^H S_q for q = 0..band], stacked ((band + 1)(M - K), M).
+def _mc_noise_stack(basis: np.ndarray, band: int) -> np.ndarray:
+    """Rows [U^H S_q for q = 0..band] of an (M, r) basis U (the noise
+    basis U_n, or the signal basis U_s), stacked ((band + 1) r, M).
 
     Column q of T is S_q a, with S_q the symmetric 0/1 matrix that sums the
-    -q and +q shifts (S_0 = I), so U_n^H T_q = (U_n^H S_q) a and the rows
-    U_n^H S_q = (S_q conj(U_n))^T are the transform of the noise columns.
+    -q and +q shifts (S_0 = I), so U^H T_q = (U^H S_q) a and the rows
+    U^H S_q = (S_q conj(U))^T are the transform of the basis columns.
     """
-    t = _mc_transform_batch(noise_basis.conj(), band)
-    return t.transpose(2, 0, 1).reshape(-1, noise_basis.shape[0])
+    t = _mc_transform_batch(basis.conj(), band)
+    return t.transpose(2, 0, 1).reshape(-1, basis.shape[0])
 
 
 def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int) -> np.ndarray:
@@ -858,7 +895,13 @@ def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int
     every other band takes; above the gap the two agree to about
     1e-13 lambda_max."""
     proj = (noise_stack @ manifold).reshape(band + 1, -1, manifold.shape[1])
-    return _min_eigenvalues_3x3(proj) if band == 2 else _stack_min_eigenvalues(proj)
+    if band != 2:
+        return _stack_min_eigenvalues(proj)
+    lam_min = _min_eigenvalues_3x3(_gram_entries(proj))
+    gap = np.isnan(lam_min)
+    if gap.any():
+        lam_min[gap] = _stack_min_eigenvalues(proj[:, :, gap])
+    return lam_min
 
 
 def _stack_min_eigenvalues(proj: np.ndarray) -> np.ndarray:
@@ -867,46 +910,80 @@ def _stack_min_eigenvalues(proj: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))[:, 0]
 
 
+# Row and column of the six distinct entries of a 3 x 3 Gram: the diagonal,
+# then (0, 1), (0, 2) and (1, 2).
+_GRAM_ROWS, _GRAM_COLS = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+
+
+def _gram_entries(proj: np.ndarray) -> np.ndarray:
+    """The six distinct entries (`_GRAM_ROWS`, `_GRAM_COLS`) of each 3 x 3
+    Gram proj[:, :, g]^H proj[:, :, g] of a (3, n, G) projection, (6, G)."""
+    return np.einsum("ing,jng->ijg", proj.conj(), proj)[_GRAM_ROWS, _GRAM_COLS]
+
+
 # The share of lambda_max below which the gap lambda_mid - lambda_min sends
 # a cell from the closed form to `eigvalsh`.
 _CUBIC_GAP = 1e-3
+_TINY = np.finfo(float).tiny
 
 
-def _min_eigenvalues_3x3(proj: np.ndarray) -> np.ndarray:
-    """lambda_min of each 3 x 3 Gram A = proj[:, :, g]^H proj[:, :, g].
+def _min_eigenvalues_3x3(gram: np.ndarray) -> np.ndarray:
+    """lambda_min of each 3 x 3 Hermitian Gram A from its six distinct
+    entries (`_gram_entries`), NaN where the gap rule sends it elsewhere.
 
-    The six distinct entries come straight from the (3, n, G) projection:
-    the diagonal as squared column norms, the upper triangle as three
-    column dot products.  With m = tr(A)/3, B = A - m I, h = sqrt(tr(B^2)/6)
-    and phi = arccos(det(B) / 2h^3)/3, the eigenvalues are
+    With m = tr(A)/3, B = A - m I, h = sqrt(tr(B^2)/6) and
+    phi = arccos(det(B) / 2h^3)/3, the eigenvalues are
     m + 2h cos(phi + 2 pi k/3), largest at k = 0 and smallest at k = 1.
-    Cells with a gap below `_CUBIC_GAP` (or NaN) take
-    `_stack_min_eigenvalues`.  The two largest meeting (phi -> pi/3) costs
-    no accuracy, since d lambda_min / d phi vanishes there.
+    Cells with a gap below `_CUBIC_GAP` (or NaN) come back NaN.  The two
+    largest meeting (phi -> pi/3) costs no accuracy, since
+    d lambda_min / d phi vanishes there.
     """
-    p0, p1, p2 = proj
-    diag = np.einsum("png,png->pg", proj.real, proj.real)
-    diag += np.einsum("png,png->pg", proj.imag, proj.imag)
-    c0 = p0.conj()
-    g01 = np.einsum("ng,ng->g", c0, p1)
-    g02 = np.einsum("ng,ng->g", c0, p2)
-    g12 = np.einsum("ng,ng->g", p1.conj(), p2)
+    diag, off = gram[:3].real, gram[3:]
     mean = diag.sum(axis=0) / 3.0
-    b0, b1, b2 = diag - mean
-    s01 = g01.real**2 + g01.imag**2
-    s02 = g02.real**2 + g02.imag**2
-    s12 = g12.real**2 + g12.imag**2
-    half = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (s01 + s02 + s12)) / 6.0)
+    b0, b1, b2 = b = diag - mean
+    s01, s02, s12 = s = off.real**2 + off.imag**2
+    half = np.sqrt(((b * b).sum(axis=0) + 2.0 * s.sum(axis=0)) / 6.0)
+    g01, g02, g12 = off
     det = b0 * (b1 * b2 - s12) - b1 * s02 - b2 * s01 + 2.0 * (g01 * g12 * g02.conj()).real
     # a scalar Gram has half = det = 0: the ratio is then 0, not NaN
-    ratio = det / np.maximum(2.0 * half**3, np.finfo(float).tiny)
-    phi = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
+    ratio = det / np.maximum(2.0 * half**3, _TINY)
+    phi = np.arccos(np.minimum(np.maximum(ratio, -1.0), 1.0)) / 3.0
     lam_max = mean + 2.0 * half * np.cos(phi)
     lam_min = mean + 2.0 * half * np.cos(phi + 2.0 * np.pi / 3.0)
-    fallback = ~(3.0 * mean - lam_max - 2.0 * lam_min >= _CUBIC_GAP * lam_max)
-    if fallback.any():
-        lam_min[fallback] = _stack_min_eigenvalues(proj[:, :, fallback])
+    lam_min[~(3.0 * mean - lam_max - 2.0 * lam_min >= _CUBIC_GAP * lam_max)] = np.nan
     return lam_min
+
+
+def _transform_gram(manifold: np.ndarray) -> np.ndarray:
+    """The Gram T^H T of the band-2 transform T = [a, S_1 a, S_2 a] of each
+    manifold column, as a row of its six distinct entries (`_gram_entries`'
+    order), each a `_row_order_sum` so that a column's entries do not
+    depend on its batch.  It depends on the column alone, so the column
+    store keeps it."""
+    t = np.ascontiguousarray(_mc_transform_batch(manifold, 2).transpose(2, 1, 0))
+    return _row_order_sum(t[_GRAM_ROWS].conj() * t[_GRAM_COLS]).T
+
+
+def _mc_signal_form(decomp: SubspaceDecomposition, noise_stack: np.ndarray):
+    """lambda_min(T^H U_n U_n^H T) at band 2 per manifold column from the
+    K signal vectors, as a function of the manifold and its
+    `_transform_gram`: the Gram is T^H T - (U_s^H T)^H (U_s^H T), a 3K-row
+    product in place of the 3(M - K) rows of `_mc_min_eigenvalues`.  That
+    function recomputes the cells whose value falls below the cancellation
+    floor, `_CANCELLATION_PER_ELEMENT` times M tr(T^H T), is negative, or
+    fails the gap rule of `_min_eigenvalues_3x3`."""
+    signal_stack = _mc_noise_stack(decomp.signal_basis, 2)
+    floor = _CANCELLATION_PER_ELEMENT * noise_stack.shape[1]
+
+    def cost(manifold: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        proj = (signal_stack @ manifold).reshape(3, -1, manifold.shape[1])
+        lam_min = _min_eigenvalues_3x3(gram.T - _gram_entries(proj))
+        low = ~(lam_min >= floor * gram[:, :3].real.sum(axis=1))
+        if low.any():
+            lam_min[low] = _mc_min_eigenvalues(noise_stack, manifold[:, low], 2)
+        return lam_min
+
+    return cost
 
 
 def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
@@ -916,6 +993,8 @@ def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
     if not 1 <= band <= m - 1:
         raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
     stack = _mc_noise_stack(decomp.noise_basis, band)
+    if band == 2:
+        return _GridCost(_mc_signal_form(decomp, stack), config, _transform_gram)
     return _GridCost(lambda manifold, norms: _mc_min_eigenvalues(stack, manifold, band), config)
 
 

@@ -617,14 +617,18 @@ class TestMcMusic:
         w = q @ (np.sqrt(lam)[:, :, None] * x.conj().transpose(0, 2, 1))
         proj = np.ascontiguousarray(w.transpose(2, 1, 0))
         oracle = np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))
-        fast = _min_eigenvalues_3x3(proj)
+        fast = _min_eigenvalues_3x3(estimators._gram_entries(proj))
+        gap = np.isnan(fast)  # the cells `_mc_min_eigenvalues` sends to `eigvalsh`
+        fast[gap] = _stack_min_eigenvalues(proj[:, :, gap])
         assert np.all(np.abs(fast - oracle[:, 0]) <= 1e-12 * oracle[:, -1])
 
     @hyp_settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_closed_form_leaves_refinement_cells(self, data):
         """Band 2 searches end on the same pass-1 and pass-2 cells with the
-        closed form as with `eigvalsh` in its place."""
+        closed form of the signal form as with `eigvalsh` of the noise form
+        in its place: a closed form that sends every cell to the gap rule's
+        fallback leaves the signal form none to keep."""
         dec, config, coarse, initial = draw_refine_window(data, 2)
 
         def cells():
@@ -632,7 +636,9 @@ class TestMcMusic:
             return cell1, cell2
 
         fast = cells()
-        with mock.patch.object(estimators, "_min_eigenvalues_3x3", _stack_min_eigenvalues):
+        with mock.patch.object(
+            estimators, "_min_eigenvalues_3x3", lambda gram: np.full(gram.shape[1], np.nan)
+        ):
             assert cells() == fast
 
     def test_band_must_be_whole(self, coupled_extended_scenario):
@@ -1056,9 +1062,11 @@ class TestSignalForm:
     @hyp_settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_stored_norm_does_not_depend_on_the_fill_batch(self, data):
-        """A column's ||a||^2, served from a store filled in random batches
-        or computed in any batch of fresh columns, has the bytes of its
-        norm in the whole lattice's batch, a lone column included."""
+        """A column's ||a||^2 and band-2 Gram T^H T, served from a store
+        filled in random batches by either cost, or computed in any batch of
+        fresh columns, have the bytes of its terms in the whole lattice's
+        batch, a lone column included.  A cost that asks after the other
+        filled columns extends its terms over them."""
         clear_steering_caches()
         config = ArrayConfig(data.draw(st.integers(2, 64), "M"), 0.5, 2.0)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
@@ -1066,24 +1074,120 @@ class TestSignalForm:
         angles = np.sort(rng.uniform(-89.0, 89.0, n_a))
         ranges = np.sort(10.0 ** rng.uniform(0.5, 4.0, n_r))
         rows, cols = np.divmod(np.arange(n_a * n_r), n_r)
-        whole = estimators._squared_norms(
-            esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
-        )
+        lattice = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
+        terms = (estimators._squared_norms, estimators._transform_gram)
+        whole = [term(lattice) for term in terms]
         order = rng.permutation(n_a * n_r)
         cells = st.integers(1, max(1, n_a * n_r - 1))
         cuts = sorted(data.draw(st.lists(cells, max_size=8), "cuts"))
-        served = _GridCost(lambda manifold, norms: norms, config)
+        served = [_GridCost(lambda manifold, t: t, config, term) for term in terms]
         for batch in np.split(order, cuts):
             if len(batch):
-                assert served.cells(angles, ranges, rows[batch], cols[batch]).tobytes() == (
-                    whole[batch].tobytes()
+                k = data.draw(st.sampled_from((0, 1)), "cost")
+                assert served[k].cells(angles, ranges, rows[batch], cols[batch]).tobytes() == (
+                    whole[k][batch].tobytes()
                 )
         start = data.draw(st.integers(0, n_a * n_r - 1), "offset")
         stop = data.draw(st.integers(start + 1, n_a * n_r), "end")
         fresh = esg_manifold_centered(
             np.deg2rad(angles[rows[start:stop]]), ranges[cols[start:stop]], config
         )
-        assert estimators._squared_norms(fresh).tobytes() == whole[start:stop].tobytes()
+        for term, values in zip(terms, whole):
+            assert term(fresh).tobytes() == values[start:stop].tobytes()
+        # the store's terms cover every column it holds, in slot order
+        store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+        for term, values in zip(terms, whole):
+            served_terms = store.column_terms(term)[store.slots[rows, cols]]
+            assert served_terms.tobytes() == values.tobytes()
+
+
+@st.composite
+def _mc_subspace_and_columns(draw):
+    """`_subspace_and_columns`, or a random orthonormal split of its M
+    dimensions, with Gaussian columns after the exact-geometry ones."""
+    decomp, manifold = draw(_subspace_and_columns())
+    m, k = manifold.shape[0], decomp.source_count
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "seed"))
+    if draw(st.booleans(), "random subspace"):
+        square = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        basis = np.linalg.qr(square)[0]
+        decomp = estimators.SubspaceDecomposition(np.zeros(m), basis[:, :k], basis[:, k:])
+    g = draw(st.integers(0, 20), "Gaussian columns")
+    noise = rng.standard_normal((m, g)) + 1j * rng.standard_normal((m, g))
+    return decomp, np.concatenate((manifold, noise), axis=1)
+
+
+def _mc_oracle(decomp, manifold):
+    """eigvalsh of the explicit noise-form Gram T^H U_n U_n^H T per column,
+    all three eigenvalues ascending, and tr(T^H T)."""
+    t = estimators._mc_transform_batch(manifold, 2)
+    proj = np.einsum("mn,gmp->gnp", decomp.noise_basis.conj(), t)
+    lam = np.linalg.eigvalsh(np.einsum("gnp,gnq->gpq", proj.conj(), proj))
+    return lam, np.einsum("gmp,gmp->g", t.conj(), t).real
+
+
+class TestMcSignalForm:
+    """The band-2 coupling-robust cost from the K signal vectors,
+    lambda_min(T^H T - (U_s^H T)^H (U_s^H T)), against its oracle, the
+    `eigvalsh` of the noise-form Gram, and its fallback, the noise form
+    `_mc_min_eigenvalues`."""
+
+    @staticmethod
+    def cost(decomp, manifold):
+        stack = estimators._mc_noise_stack(decomp.noise_basis, 2)
+        cost = estimators._mc_signal_form(decomp, stack)
+        return cost(manifold, estimators._transform_gram(manifold)), stack
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(case=_mc_subspace_and_columns())
+    def test_signal_form_matches_noise_form(self, case):
+        """The bound the floor is derived from: the signal-form Gram is
+        within 8 M eps tr(T^H T) of the noise form's, so (Weyl) is its
+        lambda_min, also where the two terms cancel (the fallback is
+        switched off); the closed form adds at most the 1e-12 lambda_max
+        it is held to on the noise form."""
+        decomp, manifold = case
+        with mock.patch.object(estimators, "_CANCELLATION_PER_ELEMENT", -np.inf):
+            signal, _ = self.cost(decomp, manifold)
+        lam, trace = _mc_oracle(decomp, manifold)
+        m = manifold.shape[0]
+        bound = 8 * m * np.finfo(float).eps * trace + 1e-12 * lam[:, -1]
+        assert np.all(np.abs(signal - lam[:, 0]) <= bound)
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(case=_mc_subspace_and_columns())
+    def test_cells_below_the_floor_take_the_noise_form(self, case):
+        decomp, manifold = case
+        values, stack = self.cost(decomp, manifold)
+        gram = estimators._transform_gram(manifold).T
+        signal_stack = estimators._mc_noise_stack(decomp.signal_basis, 2)
+        proj = (signal_stack @ manifold).reshape(3, -1, manifold.shape[1])
+        closed = _min_eigenvalues_3x3(gram - estimators._gram_entries(proj))
+        floor = estimators._CANCELLATION_PER_ELEMENT * manifold.shape[0]
+        low = ~(closed >= floor * gram[:3].real.sum(axis=0))  # NaN and negative too
+        if low.any():  # the fallback's product holds the low columns alone
+            fallback = estimators._mc_min_eigenvalues(stack, manifold[:, low], 2)
+            assert values[low].tobytes() == fallback.tobytes()
+        assert values[~low].tobytes() == closed[~low].tobytes()
+
+    def test_noiseless_source_cell_falls_back(self):
+        # at a noiseless source lambda_min is 0 up to rounding: the signal
+        # form leaves only the rounding of T^H T, so that cell, and only
+        # it, is recomputed in the noise form
+        config = ArrayConfig(32, 0.5, 2.0)
+        sources = esg_manifold_centered(np.deg2rad([-20.0, 10.0]), np.array([300.0, 1e3]), config)
+        decomp = decompose(CovarianceEstimate(sources @ sources.conj().T, 100), 2)
+        cells = np.deg2rad([-20.0, -19.0, 0.0]), np.full(3, 300.0)  # the first on a source
+        manifold = esg_manifold_centered(*cells, config)
+        noise_form = estimators._mc_min_eigenvalues
+        with mock.patch.object(estimators, "_mc_min_eigenvalues", wraps=noise_form) as fallback:
+            values = _mc_cost(decomp, 2, config)(*cells)
+        assert fallback.call_count == 1
+        stack = estimators._mc_noise_stack(decomp.noise_basis, 2)
+        oracle = noise_form(stack, manifold[:, :1], 2)
+        lam, trace = _mc_oracle(decomp, manifold)
+        assert values[0] == oracle[0] and abs(values[0]) < 1e-14 * trace[0]
+        assert np.all(values[1:] >= estimators._CANCELLATION_PER_ELEMENT * 32 * trace[1:])
 
 
 class TestColumnCache:

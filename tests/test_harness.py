@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,8 +185,10 @@ class TestScenarioFiles:
         with int, None and bool fields keeping their types."""
 
         def step(span):
-            # within the span it steps across, at most about 10^5 steps of it
-            return data.draw(st.floats(span / 1e5, span, exclude_min=True))
+            # within the span it steps across, at most about 300 steps of it,
+            # so that a pass lattice (2 x 300 + 1 points a side at most)
+            # stays within its 10^6-cell bound
+            return data.draw(st.floats(span / 300, span, exclude_min=True))
 
         angle_min = data.draw(st.floats(-90.0, 89.0))
         angle_max = data.draw(st.floats(angle_min, 90.0, exclude_min=True))
@@ -1286,6 +1289,14 @@ class TestCli:
                 "estimator: angle_step_deg gives at most 7812 points on its axis at "
                 "element_count 4096",
             ),
+            # passed `validate`, and `single-shot` died allocating the
+            # 975,609 x 983,607 values of its pass-1 lattice (6.98 TiB)
+            f"{base}\nestimator: {{pass1_angle_step_deg: 4.1e-6, pass1_range_fraction: 6.1e-7, "
+            "pass2_angle_step_deg: 4.1e-6, pass2_range_fraction: 6.1e-7}\n": (
+                "single-shot",
+                "estimator: settings must satisfy pass1_angle_step_deg x pass1_range_fraction "
+                "gives at most 1000000 cells in its lattice",
+            ),
             # passed `validate`, and `campaign` would have built 10^30 jobs
             snapshots.replace("trials: 100", "trials: 1.0e+30"):
                 ("campaign", "campaign: trials must be <= 1000000"),
@@ -1323,7 +1334,9 @@ class TestCli:
     def test_one_hostile_leaf_gives_a_result_or_a_diagnosis(self, data):
         """A shipped file with one or two leaves set to hostile values either
         runs (`validate` may exit 1 on a failed check) or exits 2 with an
-        `error:` line; no verb raises."""
+        `error:` line; no verb raises, and the only warning a verb gives is
+        the refinement's window-edge `RuntimeWarning` (recorded here, so
+        the suite's warning count does not depend on the draws)."""
         name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
         tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
         paths = st.lists(st.sampled_from(leaf_paths(tree)), min_size=1, max_size=2, unique=True)
@@ -1333,7 +1346,8 @@ class TestCli:
                 node = node[key]
             node[leaf] = data.draw(st.sampled_from(HOSTILE_LEAVES), "value")
         tree["estimator"] = COARSE_SETTINGS
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
             path = Path(tmp) / name
             path.write_text(yaml.safe_dump(tree))
             for verb, *out in (["validate"], ["crb", "--out", f"{tmp}/crb"], ["single-shot"]):
@@ -1342,3 +1356,6 @@ class TestCli:
                     rc = cli_main([verb, str(path), *out])
                 diagnosed = rc == 2 and err.getvalue().startswith("error: ")
                 assert rc in (0, 1) or diagnosed, (verb, rc, err.getvalue())
+        for w in seen:
+            assert w.category is RuntimeWarning, w
+            assert "sits on the search-window edge" in str(w.message), w
