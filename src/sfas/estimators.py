@@ -856,15 +856,14 @@ def _mc_transform_batch(manifold: np.ndarray, band: int) -> np.ndarray:
     For a banded complex-symmetric Toeplitz coupling C with coefficient
     vector c = [1, c_1, ..., c_P], C @ a equals T @ c for every a, which is
     what lets the spectrum search over coupled steering without knowing c.
-    `manifold` is (M, G); returns (G, M, band + 1).
+    `manifold` is (M, G); returns (band + 1, M, G), slice q holding S_q a.
     """
-    m, g = manifold.shape
-    t = np.zeros((g, m, band + 1), dtype=complex)
-    a = manifold.T
-    t[:, :, 0] = a
+    m = manifold.shape[0]
+    t = np.zeros((band + 1, *manifold.shape), dtype=complex)
+    t[0] = manifold
     for q in range(1, band + 1):
-        t[:, q:, q] += a[:, : m - q]
-        t[:, : m - q, q] += a[:, q:]
+        t[q, q:] += manifold[: m - q]
+        t[q, : m - q] += manifold[q:]
     return t
 
 
@@ -877,36 +876,14 @@ def _mc_noise_stack(basis: np.ndarray, band: int) -> np.ndarray:
     U^H S_q = (S_q conj(U))^T are the transform of the basis columns.
     """
     t = _mc_transform_batch(basis.conj(), band)
-    return t.transpose(2, 0, 1).reshape(-1, basis.shape[0])
+    return t.transpose(0, 2, 1).reshape(-1, basis.shape[0])
 
 
 def _mc_min_eigenvalues(noise_stack: np.ndarray, manifold: np.ndarray, band: int) -> np.ndarray:
-    """lambda_min(T^H U_n U_n^H T) per manifold column, with the projection
-    U_n^H T of every column and every q as one product with the stack.
-
-    At band 2 the Gram is 3 x 3, and `_min_eigenvalues_3x3` takes lambda_min
-    from the trigonometric roots of its characteristic cubic (Smith 1961)
-    instead of a batched `eigvalsh`.  That root loses accuracy where the two
-    smallest eigenvalues meet: an O(eps) error in the determinant moves it
-    by O(sqrt eps), about 1e-8 lambda_max at a relative gap of 1e-6 (Kopp
-    2008, arXiv:physics/0610206).  So a cell whose computed gap
-    lambda_mid - lambda_min is below `_CUBIC_GAP` of lambda_max goes through
-    `_stack_min_eigenvalues`, the `eigvalsh` of the explicit Gram stack that
-    every other band takes; above the gap the two agree to about
-    1e-13 lambda_max."""
+    """lambda_min(T^H U_n U_n^H T) per manifold column: the projection
+    U_n^H T of every column and every q as one product with the stack, then
+    one batched `eigvalsh` of the (G, band + 1, band + 1) Gram stack."""
     proj = (noise_stack @ manifold).reshape(band + 1, -1, manifold.shape[1])
-    if band != 2:
-        return _stack_min_eigenvalues(proj)
-    lam_min = _min_eigenvalues_3x3(_gram_entries(proj))
-    gap = np.isnan(lam_min)
-    if gap.any():
-        lam_min[gap] = _stack_min_eigenvalues(proj[:, :, gap])
-    return lam_min
-
-
-def _stack_min_eigenvalues(proj: np.ndarray) -> np.ndarray:
-    """lambda_min of each Gram proj[:, :, g]^H proj[:, :, g], one batched
-    `eigvalsh` over the (G, p, p) stack."""
     return np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))[:, 0]
 
 
@@ -933,10 +910,15 @@ def _min_eigenvalues_3x3(gram: np.ndarray) -> np.ndarray:
 
     With m = tr(A)/3, B = A - m I, h = sqrt(tr(B^2)/6) and
     phi = arccos(det(B) / 2h^3)/3, the eigenvalues are
-    m + 2h cos(phi + 2 pi k/3), largest at k = 0 and smallest at k = 1.
-    Cells with a gap below `_CUBIC_GAP` (or NaN) come back NaN.  The two
-    largest meeting (phi -> pi/3) costs no accuracy, since
-    d lambda_min / d phi vanishes there.
+    m + 2h cos(phi + 2 pi k/3), largest at k = 0 and smallest at k = 1
+    (Smith 1961).  That root loses accuracy where the two smallest
+    eigenvalues meet: an O(eps) error in the determinant moves it by
+    O(sqrt eps), about 1e-8 lambda_max at a relative gap of 1e-6 (Kopp
+    2008, arXiv:physics/0610206).  So cells whose computed gap
+    lambda_mid - lambda_min is below `_CUBIC_GAP` of lambda_max (or NaN)
+    come back NaN, for `eigvalsh`; above the gap the two agree to about
+    1e-13 lambda_max.  The two largest meeting (phi -> pi/3) costs no
+    accuracy, since d lambda_min / d phi vanishes there.
     """
     diag, off = gram[:3].real, gram[3:]
     mean = diag.sum(axis=0) / 3.0
@@ -960,27 +942,28 @@ def _transform_gram(manifold: np.ndarray) -> np.ndarray:
     order), each a `_row_order_sum` so that a column's entries do not
     depend on its batch.  It depends on the column alone, so the column
     store keeps it."""
-    t = np.ascontiguousarray(_mc_transform_batch(manifold, 2).transpose(2, 1, 0))
+    t = _mc_transform_batch(manifold, 2)
     return _row_order_sum(t[_GRAM_ROWS].conj() * t[_GRAM_COLS]).T
 
 
-def _mc_signal_form(decomp: SubspaceDecomposition, noise_stack: np.ndarray):
+def _mc_signal_form(decomp: SubspaceDecomposition):
     """lambda_min(T^H U_n U_n^H T) at band 2 per manifold column from the
     K signal vectors, as a function of the manifold and its
     `_transform_gram`: the Gram is T^H T - (U_s^H T)^H (U_s^H T), a 3K-row
-    product in place of the 3(M - K) rows of `_mc_min_eigenvalues`.  That
-    function recomputes the cells whose value falls below the cancellation
-    floor, `_CANCELLATION_PER_ELEMENT` times M tr(T^H T), is negative, or
-    fails the gap rule of `_min_eigenvalues_3x3`."""
+    product in place of the 3(M - K) rows of `_mc_min_eigenvalues`, which
+    recomputes the cells whose value falls below the cancellation floor,
+    `_CANCELLATION_PER_ELEMENT` times M tr(T^H T), is negative, or fails
+    the gap rule of `_min_eigenvalues_3x3`."""
     signal_stack = _mc_noise_stack(decomp.signal_basis, 2)
-    floor = _CANCELLATION_PER_ELEMENT * noise_stack.shape[1]
+    noise_basis = decomp.noise_basis
+    floor = _CANCELLATION_PER_ELEMENT * noise_basis.shape[0]
 
     def cost(manifold: np.ndarray, gram: np.ndarray) -> np.ndarray:
         proj = (signal_stack @ manifold).reshape(3, -1, manifold.shape[1])
         lam_min = _min_eigenvalues_3x3(gram.T - _gram_entries(proj))
         low = ~(lam_min >= floor * gram[:, :3].real.sum(axis=1))
         if low.any():
-            lam_min[low] = _mc_min_eigenvalues(noise_stack, manifold[:, low], 2)
+            lam_min[low] = _mc_min_eigenvalues(_mc_noise_stack(noise_basis, 2), manifold[:, low], 2)
         return lam_min
 
     return cost
@@ -992,9 +975,9 @@ def _mc_cost(decomp: SubspaceDecomposition, band: int, config: ArrayConfig):
         raise ValueError(f"band must be a whole number, got {band!r}")
     if not 1 <= band <= m - 1:
         raise ValueError(f"band must be in [1, M - 1] = [1, {m - 1}], got {band}")
-    stack = _mc_noise_stack(decomp.noise_basis, band)
     if band == 2:
-        return _GridCost(_mc_signal_form(decomp, stack), config, _transform_gram)
+        return _GridCost(_mc_signal_form(decomp), config, _transform_gram)
+    stack = _mc_noise_stack(decomp.noise_basis, band)
     return _GridCost(lambda manifold, norms: _mc_min_eigenvalues(stack, manifold, band), config)
 
 

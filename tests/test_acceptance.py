@@ -273,7 +273,7 @@ def test_criterion_5_mc_music_robustness():
         man = esg_manifold_centered(
             np.array([src.angle]), np.array([src.range]), scen.config_extended
         )
-        t = _mc_transform_batch(man, 2)[0]
+        t = _mc_transform_batch(man, 2)[:, :, 0].T
         q = t.conj().T @ dec.noise_basis @ dec.noise_basis.conj().T @ t
         lam = np.linalg.eigvalsh(q).real
         worst_ratio = max(worst_ratio, lam[0] / lam[-1])

@@ -39,7 +39,6 @@ from sfas.estimators import (
     _on_mesh,
     _plain_cost,
     _search_passes,
-    _stack_min_eigenvalues,
     _subcell_offsets,
 )
 from sfas.geometry import (
@@ -520,7 +519,7 @@ class TestMcMusic:
             man = esg_manifold_centered(
                 np.array([src.angle]), np.array([src.range]), scen.config_extended
             )
-            t = _mc_transform_batch(man, 2)[0]
+            t = _mc_transform_batch(man, 2)[:, :, 0].T
             q = t.conj().T @ dec.noise_basis @ dec.noise_basis.conj().T @ t
             lam = np.linalg.eigvalsh(q).real
             assert lam[0] / lam[-1] < 1e-8
@@ -561,9 +560,10 @@ class TestMcMusic:
     @hyp_settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_stacked_kernel_matches_einsum_oracle(self, data):
-        """The stacked-product kernel gives the smallest eigenvalue of the
-        einsum over the explicit transform T, for any orthonormal noise basis
-        and for random as well as exact-geometry columns."""
+        """The stacked-product kernel, a batched `eigvalsh` at every band,
+        gives the smallest eigenvalue of the einsum over the explicit
+        transform T, for any orthonormal noise basis and for random as well
+        as exact-geometry columns."""
         from sfas.estimators import _mc_min_eigenvalues, _mc_noise_stack, _mc_transform_batch
 
         m = data.draw(st.integers(6, 40))
@@ -581,11 +581,33 @@ class TestMcMusic:
             manifold = esg_manifold_centered(angles, rng.uniform(m, 1e4, cols), config)
 
         t = _mc_transform_batch(manifold, band)
-        proj = np.einsum("mn,gmp->gnp", noise.conj(), t)
+        proj = np.einsum("mn,pmg->gnp", noise.conj(), t)
         lam = np.linalg.eigvalsh(np.einsum("gnp,gnq->gpq", proj.conj(), proj))
         fast = _mc_min_eigenvalues(_mc_noise_stack(noise, band), manifold, band)
         assert fast.shape == (cols,)
         assert np.all(np.abs(fast - lam[:, 0]) <= 1e-12 * lam[:, -1])
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_transform_layout(self, data):
+        """Slice q of the transform is S_q a, with S_q the explicit 0/1
+        matrix that sums the -q and +q shifts (S_0 = I), and the rows of
+        the stack of a basis U are (S_q conj(U))^T, for any G, one included."""
+        from sfas.estimators import _mc_noise_stack, _mc_transform_batch
+
+        m = data.draw(st.integers(2, 40), "M")
+        band = data.draw(st.integers(1, min(3, m - 1)), "band")
+        g, r = data.draw(st.integers(1, 12), "G"), data.draw(st.integers(1, m), "rank")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        manifold = rng.standard_normal((m, g)) + 1j * rng.standard_normal((m, g))
+        basis = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        shifts = [np.eye(m)] + [np.eye(m, k=q) + np.eye(m, k=-q) for q in range(1, band + 1)]
+        t = _mc_transform_batch(manifold, band)
+        stack = _mc_noise_stack(basis, band)
+        assert t.shape == (band + 1, m, g) and stack.shape == ((band + 1) * r, m)
+        for q, s_q in enumerate(shifts):
+            assert np.array_equal(t[q], s_q @ manifold)
+            assert np.array_equal(stack[q * r : (q + 1) * r], (s_q @ basis.conj()).T)
 
     @hyp_settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -618,8 +640,8 @@ class TestMcMusic:
         proj = np.ascontiguousarray(w.transpose(2, 1, 0))
         oracle = np.linalg.eigvalsh(np.einsum("ing,jng->gij", proj.conj(), proj))
         fast = _min_eigenvalues_3x3(estimators._gram_entries(proj))
-        gap = np.isnan(fast)  # the cells `_mc_min_eigenvalues` sends to `eigvalsh`
-        fast[gap] = _stack_min_eigenvalues(proj[:, :, gap])
+        gap = np.isnan(fast)  # the cells `_mc_signal_form` sends to `eigvalsh`
+        fast[gap] = oracle[gap, 0]
         assert np.all(np.abs(fast - oracle[:, 0]) <= 1e-12 * oracle[:, -1])
 
     @hyp_settings(max_examples=30, deadline=None)
@@ -1121,9 +1143,9 @@ def _mc_oracle(decomp, manifold):
     """eigvalsh of the explicit noise-form Gram T^H U_n U_n^H T per column,
     all three eigenvalues ascending, and tr(T^H T)."""
     t = estimators._mc_transform_batch(manifold, 2)
-    proj = np.einsum("mn,gmp->gnp", decomp.noise_basis.conj(), t)
+    proj = np.einsum("mn,pmg->gnp", decomp.noise_basis.conj(), t)
     lam = np.linalg.eigvalsh(np.einsum("gnp,gnq->gpq", proj.conj(), proj))
-    return lam, np.einsum("gmp,gmp->g", t.conj(), t).real
+    return lam, np.einsum("pmg,pmg->g", t.conj(), t).real
 
 
 class TestMcSignalForm:
@@ -1134,9 +1156,8 @@ class TestMcSignalForm:
 
     @staticmethod
     def cost(decomp, manifold):
-        stack = estimators._mc_noise_stack(decomp.noise_basis, 2)
-        cost = estimators._mc_signal_form(decomp, stack)
-        return cost(manifold, estimators._transform_gram(manifold)), stack
+        cost = estimators._mc_signal_form(decomp)
+        return cost(manifold, estimators._transform_gram(manifold))
 
     @hyp_settings(max_examples=80, deadline=None)
     @given(case=_mc_subspace_and_columns())
@@ -1148,7 +1169,7 @@ class TestMcSignalForm:
         it is held to on the noise form."""
         decomp, manifold = case
         with mock.patch.object(estimators, "_CANCELLATION_PER_ELEMENT", -np.inf):
-            signal, _ = self.cost(decomp, manifold)
+            signal = self.cost(decomp, manifold)
         lam, trace = _mc_oracle(decomp, manifold)
         m = manifold.shape[0]
         bound = 8 * m * np.finfo(float).eps * trace + 1e-12 * lam[:, -1]
@@ -1158,7 +1179,7 @@ class TestMcSignalForm:
     @given(case=_mc_subspace_and_columns())
     def test_cells_below_the_floor_take_the_noise_form(self, case):
         decomp, manifold = case
-        values, stack = self.cost(decomp, manifold)
+        values = self.cost(decomp, manifold)
         gram = estimators._transform_gram(manifold).T
         signal_stack = estimators._mc_noise_stack(decomp.signal_basis, 2)
         proj = (signal_stack @ manifold).reshape(3, -1, manifold.shape[1])
@@ -1166,6 +1187,7 @@ class TestMcSignalForm:
         floor = estimators._CANCELLATION_PER_ELEMENT * manifold.shape[0]
         low = ~(closed >= floor * gram[:3].real.sum(axis=0))  # NaN and negative too
         if low.any():  # the fallback's product holds the low columns alone
+            stack = estimators._mc_noise_stack(decomp.noise_basis, 2)
             fallback = estimators._mc_min_eigenvalues(stack, manifold[:, low], 2)
             assert values[low].tobytes() == fallback.tobytes()
         assert values[~low].tobytes() == closed[~low].tobytes()
@@ -1173,16 +1195,24 @@ class TestMcSignalForm:
     def test_noiseless_source_cell_falls_back(self):
         # at a noiseless source lambda_min is 0 up to rounding: the signal
         # form leaves only the rounding of T^H T, so that cell, and only
-        # it, is recomputed in the noise form
+        # it, is recomputed in the noise form, whose stack is built then
         config = ArrayConfig(32, 0.5, 2.0)
         sources = esg_manifold_centered(np.deg2rad([-20.0, 10.0]), np.array([300.0, 1e3]), config)
         decomp = decompose(CovarianceEstimate(sources @ sources.conj().T, 100), 2)
         cells = np.deg2rad([-20.0, -19.0, 0.0]), np.full(3, 300.0)  # the first on a source
         manifold = esg_manifold_centered(*cells, config)
-        noise_form = estimators._mc_min_eigenvalues
-        with mock.patch.object(estimators, "_mc_min_eigenvalues", wraps=noise_form) as fallback:
-            values = _mc_cost(decomp, 2, config)(*cells)
+        noise_form, build = estimators._mc_min_eigenvalues, estimators._mc_noise_stack
+        with (
+            mock.patch.object(estimators, "_mc_min_eigenvalues", wraps=noise_form) as fallback,
+            mock.patch.object(estimators, "_mc_noise_stack", wraps=build) as stacks,
+        ):
+            cost = _mc_cost(decomp, 2, config)
+            cost(cells[0][1:], cells[1][1:])  # away from the sources
+            away = stacks.call_count
+            values = cost(*cells)
         assert fallback.call_count == 1
+        (signal,), (noise,) = (call.args[:1] for call in stacks.call_args_list)
+        assert away == 1 and signal is decomp.signal_basis and noise is decomp.noise_basis
         stack = estimators._mc_noise_stack(decomp.noise_basis, 2)
         oracle = noise_form(stack, manifold[:, :1], 2)
         lam, trace = _mc_oracle(decomp, manifold)
