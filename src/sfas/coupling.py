@@ -170,5 +170,5 @@ def decoupling_residual(angles, config: ArrayConfig, model: CouplingModel, trim:
     cpl = coupling_matrix(config, model)
     manifold = ff_manifold(angles, config)
     gains = gamma_matrix(angles, config, model)
-    residual = sel @ cpl @ manifold - (sel @ manifold) @ gains
+    residual = sel @ (cpl @ manifold) - (sel @ manifold) @ gains
     return float(np.linalg.norm(residual))

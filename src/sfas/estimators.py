@@ -124,10 +124,7 @@ class EstimatorSettings:
         for name, value in (("trim", self.trim), ("range_points", self.range_points)):
             if not (_integral(value) or name == "trim" and value is None):
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
-        steps = (
-            "angle_step_deg", "window_angle_deg", "pass1_angle_step_deg",
-            "pass1_range_fraction", "pass2_angle_step_deg", "pass2_range_fraction",
-        )
+        steps = ("angle_step_deg", "window_angle_deg", *(step for step, _, _ in _PASS_STEPS))
         rules = [(getattr(self, n) > 0.0, f"{n} > 0 (got {getattr(self, n)})") for n in steps]
         rules += [
             (self.trim is None or self.trim >= 0, f"trim >= 0 (got {self.trim})"),
@@ -146,49 +143,39 @@ class EstimatorSettings:
             value, bound = getattr(self, step), getattr(self, span)
             within = span if k == 1.0 else f"{k} * {span}"
             rules.append((value <= k * bound, f"{step} <= {within} (got {value}, {bound})"))
-        rules += [
-            (size <= _MAX_AXIS_POINTS,
-             f"{name} gives at most {_MAX_AXIS_POINTS} {what} (got {size:.7g})")
-            for name, size, what in self._search_sizes()
-        ]
-        broken = [rule for ok, rule in rules if not ok]
+        broken = [rule for ok, rule in rules if not ok] + self._size_rules(_MAX_AXIS_POINTS)
         if broken:
             raise ValueError("settings must satisfy " + "; ".join(broken))
 
-    def _axis_points(self) -> dict[str, float]:
-        """Points per search axis, by the field that sets them; an axis
-        whose step is not > 0 is left out."""
-        sizes = {"range_points": self.range_points}
+    def _size_rules(self, limit: int, where: str = "") -> list[str]:
+        """Each search axis (by the field that sets it) and each pass
+        lattice (the product of its two axes) that holds more than `limit`
+        points or cells, as a broken rule ending in `where`; an axis whose
+        step is not > 0 is left out, and a NaN size breaks its rule."""
+        axes = {"range_points": self.range_points}
         if self.angle_step_deg > 0.0:
             width = self.angle_max_deg - self.angle_min_deg
-            sizes["angle_step_deg"] = width / self.angle_step_deg + 1.0
+            axes["angle_step_deg"] = width / self.angle_step_deg + 1.0
         for step, k, span in _PASS_STEPS:
             value = getattr(self, step)
             if value > 0.0:  # a `_window_grid` of half-width k * span
-                sizes[step] = 2.0 * round(k * getattr(self, span) / value, 0) + 1.0
-        return sizes
-
-    def _search_sizes(self) -> list[tuple[str, float, str]]:
-        """(fields, size, what is sized) of each search axis and of each
-        pass lattice, the product of its two axes."""
-        axes = self._axis_points()
+                axes[step] = 2.0 * round(k * getattr(self, span) / value, 0) + 1.0
         sizes = [(name, size, "points on its axis") for name, size in axes.items()]
-        for angle_step, range_step in (_PASS_STEPS[:2], _PASS_STEPS[2:]):
-            if angle_step[0] in axes and range_step[0] in axes:
-                cells = axes[angle_step[0]] * axes[range_step[0]]
-                sizes.append((f"{angle_step[0]} x {range_step[0]}", cells, "cells in its lattice"))
-        return sizes
+        for (angle_step, _, _), (range_step, _, _) in zip(_PASS_STEPS[::2], _PASS_STEPS[1::2]):
+            if angle_step in axes and range_step in axes:
+                cells = axes[angle_step] * axes[range_step]
+                sizes.append((f"{angle_step} x {range_step}", cells, "cells in its lattice"))
+        return [
+            f"{name} gives at most {limit} {what}{where} (got {size:.7g})"
+            for name, size, what in sizes
+            if not size <= limit
+        ]
 
     def manifold_rules(self, element_count: int) -> list[str]:
         """The axes and lattices whose manifold at `element_count` elements
         would hold more than _MAX_AXIS_ENTRIES entries, each as a broken rule."""
-        limit = _MAX_AXIS_ENTRIES // element_count
-        return [
-            f"{name} gives at most {limit} {what} at element_count "
-            f"{element_count} (got {size:.7g})"
-            for name, size, what in self._search_sizes()
-            if size > limit
-        ]
+        where = f" at element_count {element_count}"
+        return self._size_rules(_MAX_AXIS_ENTRIES // element_count, where)
 
     def angle_grid_deg(self) -> np.ndarray:
         return _step_grid(self.angle_min_deg, self.angle_max_deg, self.angle_step_deg)
@@ -398,20 +385,24 @@ def stage1_music(
     matching rows of the far-field manifold.  Returns the spectrum and the
     `source_count` peak angles in degrees.
     """
-    m = block.config.element_count
+    cov = _covariance(block)
+    m = cov.config.element_count
     if m - 2 * trim <= source_count:
         raise ValueError(
             f"trim {trim} leaves {m - 2 * trim} elements for {source_count} sources"
         )
-    grid = _far_field_scan(block, trim, source_count, angle_grid_deg)
+    grid = _far_field_scan(cov, trim, source_count, angle_grid_deg)
     peaks = find_spectrum_peaks(grid.axes[0], grid.values, source_count, min_peak_separation_deg)
     return grid, peaks
 
 
 def _covariance(block: SnapshotBlock | CovarianceEstimate) -> CovarianceEstimate:
-    """The covariance an estimator reads: a block's sample covariance, or
-    the covariance given."""
-    return sample_covariance(block) if isinstance(block, SnapshotBlock) else block
+    """The covariance an estimator reads, and the array it reads from its
+    `config`: a block's sample covariance, or the covariance given."""
+    cov = sample_covariance(block) if isinstance(block, SnapshotBlock) else block
+    if cov.config is None:
+        raise ValueError("config must be the ArrayConfig of the covariance, got None")
+    return cov
 
 
 def _far_field_scan(
@@ -422,12 +413,12 @@ def _far_field_scan(
     projector (:func:`_lag_sum_cost`)."""
     if angle_grid_deg is None:
         angle_grid_deg = EstimatorSettings().angle_grid_deg()
-    m = block.config.element_count
     cov = _covariance(block)
+    m = cov.config.element_count
     central = cov.matrix[trim : m - trim, trim : m - trim]
     decomp = decompose(CovarianceEstimate(central, cov.snapshot_count), source_count)
     grid = np.asarray(angle_grid_deg)
-    manifold = _far_field_manifold(block.config, grid.dtype.str, grid.tobytes())
+    manifold = _far_field_manifold(cov.config, grid.dtype.str, grid.tobytes())
     values = _spectrum(_lag_sum_cost(decomp.noise_basis, manifold))
     return SpectrumGrid((angle_grid_deg,), ("angle_deg",), values)
 
@@ -1045,8 +1036,9 @@ def oracle_2d_music(
     if range_grid is None:
         range_grid = settings.range_grid()
     angle_grid_deg = np.asarray(angle_grid_deg, float)
-    decomp = decompose(_covariance(block_extended), source_count)
-    cost = _plain_cost(decomp, block_extended.config)
+    cov = _covariance(block_extended)
+    decomp = decompose(cov, source_count)
+    cost = _plain_cost(decomp, cov.config)
     angles_rad = np.deg2rad(angle_grid_deg)
     denom = np.empty((len(angle_grid_deg), len(range_grid)))
     chunk = max(1, 131072 // len(range_grid))
@@ -1193,9 +1185,10 @@ def two_stage_localize(
     )
     if spectra is not None:
         spectra.stage1 = stage1
-    decomp = decompose(_covariance(block_extended), source_count)
+    cov = _covariance(block_extended)
+    decomp = decompose(cov, source_count)
     range_grid = settings.range_grid()
-    config = block_extended.config
+    config = cov.config
     if spectra is not None:
         export_cost = (
             _plain_cost(decomp, config) if mc_band is None else _mc_cost(decomp, mc_band, config)

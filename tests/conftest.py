@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -20,6 +22,27 @@ _SPEC.loader.exec_module(cli_digest)
 
 # CPUs this process may run on: a pooled campaign forks at most CPUS - 1 workers.
 CPUS = len(os.sched_getaffinity(0))
+
+# The address space a `limited_child` may take.
+CHILD_MEMORY = 1 << 30
+
+
+def limited_child(code: str, *args: str, cwd=None) -> subprocess.Popen:
+    """Start `python -c code *args` on this checkout's `src` at one BLAS
+    thread, its address space limited to CHILD_MEMORY in the child only,
+    its output piped as text: an allocation that a bound should have
+    refused fails there, not on the host."""
+    limit = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({CHILD_MEMORY},) * 2)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.Popen(
+        [sys.executable, "-c", limit + code, *args], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
 
 
 class ProcessLog:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.linalg import toeplitz
 
+from conftest import limited_child
 from sfas.coupling import (
     CouplingModel,
     coupling_coefficient,
@@ -168,6 +169,19 @@ class TestDecouplingResidual:
         cfg = ArrayConfig(16, 0.5, 0.2)
         model = CouplingModel(band=2, symmetric=True)
         assert decoupling_residual([0.3, -0.5, 0.9], cfg, model, 1) > 1e-3
+
+    def test_largest_array_fits_in_the_child_memory(self):
+        # selecting after coupling keeps each product (M - 2*trim) x K; F @ C
+        # first asked for a 4092 x 4096 complex array on each call
+        child = limited_child(
+            "from sfas.coupling import CouplingModel, decoupling_residual\n"
+            "from sfas.geometry import ArrayConfig\n"
+            "model = CouplingModel(band=2, symmetric=True)\n"
+            "print(decoupling_residual([0.2, -0.7, 0.5], ArrayConfig(4096, 1e-3, 0.2), model, 2))\n"
+        )
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        assert float(out) < 1e-10
 
     def test_load_bearing_property_hundred_draws(self):
         # stage-1 correctness rests on this identity

@@ -806,6 +806,21 @@ class TestCovarianceInput:
         pairs_b, grid_b = oracle_2d_music(block_e, 4, **coarse)
         assert pairs == pairs_b and grid.values.tobytes() == grid_b.values.tobytes()
 
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda bare, cov_c: stage1_music(bare, 2, 2), id="stage1_music"),
+        pytest.param(lambda bare, cov_c: baseline_ff_music(bare, 2), id="baseline_ff_music"),
+        pytest.param(lambda bare, cov_c: oracle_2d_music(bare, 2), id="oracle_2d_music"),
+        pytest.param(lambda bare, cov_c: two_stage_localize(cov_c, bare, 2, 2),
+                     id="two_stage_localize"),
+    ])
+    def test_covariance_without_config_is_named(self, coupled_extended_scenario, run):
+        # each died in an AttributeError on `None.element_count`
+        block_c = generate_snapshots_compressed(coupled_extended_scenario, 0)
+        cov = sample_covariance(generate_snapshots_extended(coupled_extended_scenario, True, 0))
+        bare = CovarianceEstimate(cov.matrix, cov.snapshot_count)
+        with pytest.raises(ValueError, match="^config must be the ArrayConfig"):
+            run(bare, sample_covariance(block_c))
+
 
 class TestPairing:
     def test_identity(self):
@@ -1443,3 +1458,69 @@ class TestAxisMemos:
         assert all(memo.cache_info().currsize for memo in memos)
         clear_steering_caches()
         assert not any(memo.cache_info().currsize for memo in memos)
+
+
+@st.composite
+def _sized_settings_fields(draw):
+    """`EstimatorSettings` fields that keep every rule but the size rules,
+    each search axis and pass lattice drawn on both sides of their bounds."""
+    angle_min, angle_max = sorted(
+        draw(st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True))
+    )
+    window_angle, window_range = 10.0 ** draw(st.floats(-2.0, 1.0)), draw(st.floats(0.01, 0.99))
+    # a factor <= 1 on its span keeps each pass step within it
+    pass1_angle = window_angle * 10.0 ** -draw(st.floats(0.0, 6.5))
+    pass1_range = window_range * 10.0 ** -draw(st.floats(0.0, 6.5))
+    return dict(
+        angle_min_deg=angle_min,
+        angle_max_deg=angle_max,
+        angle_step_deg=10.0 ** draw(st.floats(-5.0, 1.0)),
+        range_points=draw(st.integers(2, 2 * 10**6)),
+        window_angle_deg=window_angle,
+        window_range_fraction=window_range,
+        pass1_angle_step_deg=pass1_angle,
+        pass1_range_fraction=pass1_range,
+        pass2_angle_step_deg=1.5 * pass1_angle * 10.0 ** -draw(st.floats(0.0, 6.5)),
+        pass2_range_fraction=1.5 * pass1_range * 10.0 ** -draw(st.floats(0.0, 6.5)),
+    )
+
+
+class TestSearchSizeRules:
+    """Each search axis and each pass lattice holds at most 10^6 points or
+    cells, and at most 3.2e7 // M where the file's M multiplies them into a
+    manifold; the sizes are worked out here from the fields alone."""
+
+    @staticmethod
+    def broken(f: dict, limit: int, where: str = "") -> list[str]:
+        axes = {
+            "range_points": f["range_points"],
+            "angle_step_deg": (f["angle_max_deg"] - f["angle_min_deg"]) / f["angle_step_deg"] + 1,
+        }
+        for step, k, span in estimators._PASS_STEPS:
+            axes[step] = 2 * round(k * f[span] / f[step]) + 1
+        sizes = [(name, size, "points on its axis") for name, size in axes.items()]
+        for p in (1, 2):
+            angle, rng = f"pass{p}_angle_step_deg", f"pass{p}_range_fraction"
+            sizes.append((f"{angle} x {rng}", axes[angle] * axes[rng], "cells in its lattice"))
+        return [
+            f"{name} gives at most {limit} {what}{where} (got {size:.7g})"
+            for name, size, what in sizes
+            if size > limit
+        ]
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(fields=_sized_settings_fields(), m=st.integers(2, 4096))
+    def test_rules_name_exactly_the_sizes_over_their_bound(self, fields, m):
+        over = self.broken(fields, 10**6)
+        if over:
+            with pytest.raises(ValueError) as info:
+                EstimatorSettings(**fields)
+            assert str(info.value) == "settings must satisfy " + "; ".join(over)
+        else:
+            rules = EstimatorSettings(**fields).manifold_rules(m)
+            assert rules == self.broken(fields, 32 * 10**6 // m, f" at element_count {m}")
+
+    def test_nan_size_breaks_its_rule(self):
+        with pytest.raises(ValueError, match=r"angle_step_deg gives at most 1000000 points "
+                                             r"on its axis \(got nan\)"):
+            EstimatorSettings(angle_min_deg=np.inf, angle_max_deg=np.inf)

@@ -22,7 +22,7 @@ import pytest
 import yaml
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from conftest import CPUS, ProcessLog, clear_steering_caches
+from conftest import CPUS, ProcessLog, clear_steering_caches, limited_child
 from sfas import estimators, harness, simulate
 from sfas.cli import main as cli_main
 from sfas.estimators import DegenerateSubspaceError, EstimatorSettings, UnderResolutionError
@@ -1359,3 +1359,63 @@ class TestCli:
         for w in seen:
             assert w.category is RuntimeWarning, w
             assert "sits on the search-window edge" in str(w.message), w
+
+    # The CLI in a `limited_child`, its arguments after `-c`.
+    CLI = "import sys\nfrom sfas.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+    @staticmethod
+    def resized(name: str, element_count: int, position: float) -> str:
+        """Shipped file `name` at `element_count` elements, its baseline
+        spacing `position` (0 to 1, on a log scale) of the way from twice
+        the least its compressed spacing allows (1e-6 wl) to the most that
+        keeps every source outside the extended half-aperture."""
+        scenario, _, _ = load_file(SCENARIO_DIR / name)
+        lo = 2e-6 / scenario.config_compressed.scale
+        reach = min(s.range for s in scenario.sources) / scenario.config_extended.scale
+        hi = 2.0 * reach / (element_count - 1)
+        tree = yaml.safe_load((SCENARIO_DIR / name).read_text())
+        tree["array"] = {**(tree.get("array") or {}), "element_count": element_count,
+                         "baseline_spacing": lo * (hi / lo) ** (0.99 * position)}
+        return yaml.safe_dump(tree)
+
+    def run_limited(self, tmp, verbs, text: str) -> list[tuple[int, str, str]]:
+        """(exit status, stdout, stderr) of each verb on the file `text`,
+        each in its own `limited_child`, all at once."""
+        path = Path(tmp) / "resized.yaml"
+        path.write_text(text)
+        children = [
+            limited_child(self.CLI, verb, str(path),
+                          *([] if verb == "validate" else ["--out", f"{tmp}/{verb}"]), cwd=tmp)
+            for verb in verbs
+        ]
+        outputs = [child.communicate(timeout=300) for child in children]
+        return [(child.returncode, *output) for child, output in zip(children, outputs)]
+
+    @hyp_settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_element_count_over_the_bound_exits_2(self, data):
+        """A shipped file at more elements than 4096, its spacing such that
+        only the element count breaks a rule, exits 2 naming it; every verb
+        reads the file through `load_file`, so `validate` stands for all."""
+        name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.yaml"))))
+        count = data.draw(st.sampled_from([4097, 10**4, 10**5, 10**6]), "element_count")
+        text = self.resized(name, count, data.draw(st.floats(0.0, 1.0), "spacing"))
+        with tempfile.TemporaryDirectory() as tmp:
+            [(rc, _, err)] = self.run_limited(tmp, ["validate"], text)
+        assert rc == 2 and "array: element_count must be <= 4096" in err, err
+        assert "Traceback" not in err, err
+
+    def test_element_count_bound_in_every_verb(self, tmp_path):
+        """At 10^6 elements each verb exits 2 naming the count, and at the
+        bound `validate` and `crb` run within the child's memory: a 4096 x
+        4096 complex array takes 256 MiB. (`single-shot` and `campaign`
+        hold several of them in `simulate.draw_covariance` and take more.)"""
+        verbs = ["validate", "crb", "single-shot", "campaign"]
+        text = self.resized("campaign_mixed_field_snr.yaml", 10**6, 0.5)
+        for rc, _, err in self.run_limited(tmp_path, verbs, text):
+            assert rc == 2 and "array: element_count must be <= 4096" in err, err
+            assert "Traceback" not in err, err
+        text = self.resized("single_shot_mixed.yaml", 4096, 0.5)
+        (rc, out, err), (crb_rc, _, crb_err) = self.run_limited(tmp_path, verbs[:2], text)
+        assert rc == 0 and "4/4 checks passed" in out, err
+        assert crb_rc == 0 and (tmp_path / "crb" / "crb.csv").exists(), crb_err
