@@ -128,8 +128,8 @@ def coupling_matrix(config: ArrayConfig, model: CouplingModel) -> np.ndarray:
     return np.concatenate((lower[::-1], coeff[1:]))[lags[None, :] - lags[:, None] + m - 1]
 
 
-def selection_matrix(element_count: int, trim: int) -> np.ndarray:
-    """Zero/one matrix [0 | I | 0] that keeps the central M - 2*trim elements."""
+def _central_rows(element_count: int, trim: int) -> slice:
+    """The central M - 2*trim rows, at least 2 of them."""
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got {trim}")
     kept = element_count - 2 * trim
@@ -137,9 +137,12 @@ def selection_matrix(element_count: int, trim: int) -> np.ndarray:
         raise ValueError(
             f"trim {trim} leaves {kept} central elements; need at least 2"
         )
-    sel = np.zeros((kept, element_count))
-    sel[np.arange(kept), trim + np.arange(kept)] = 1.0
-    return sel
+    return slice(trim, element_count - trim)
+
+
+def selection_matrix(element_count: int, trim: int) -> np.ndarray:
+    """Zero/one matrix [0 | I | 0] that keeps the central M - 2*trim elements."""
+    return np.eye(element_count)[_central_rows(element_count, trim)]
 
 
 def gamma_matrix(angles, config: ArrayConfig, model: CouplingModel) -> np.ndarray:
@@ -163,12 +166,13 @@ def decoupling_residual(angles, config: ArrayConfig, model: CouplingModel, trim:
 
     Zero to machine precision whenever the model uses the symmetric
     convention and `trim` is at least the coupling band; strictly positive
-    when the trim is too small to shield the edge rows.
+    when the trim is too small to shield the edge rows.  F is applied by
+    slicing the central rows, so every product has K columns.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    sel = selection_matrix(config.element_count, trim)
+    rows = _central_rows(config.element_count, trim)
     cpl = coupling_matrix(config, model)
     manifold = ff_manifold(angles, config)
     gains = gamma_matrix(angles, config, model)
-    residual = sel @ (cpl @ manifold) - (sel @ manifold) @ gains
+    residual = (cpl @ manifold)[rows] - manifold[rows] @ gains
     return float(np.linalg.norm(residual))

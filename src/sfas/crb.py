@@ -152,11 +152,12 @@ def fisher_information(
     proj_deriv = deriv - manifold @ (np.linalg.pinv(gram) @ (manifold.conj().T @ deriv))
     quad = deriv.conj().T @ proj_deriv
 
+    # R A = A (S + sigma^2 I) with S = R_s A^H A, so W = R_s A^H R^-1 A R_s
+    # = S (S + sigma^2 I)^-1 R_s: one K x K solve (S commutes with the
+    # inverse) in place of an O(M^3) solve against the M x M covariance R
     powers = np.diag([src.power for src in sources])
-    cov = manifold @ powers @ manifold.conj().T + noise_variance * np.eye(
-        config.element_count
-    )
-    weight = powers @ manifold.conj().T @ np.linalg.solve(cov, manifold) @ powers
+    signal = powers @ gram
+    weight = np.linalg.solve(signal + noise_variance * np.eye(len(sources)), signal) @ powers
     tiled = np.kron(np.ones((2, 2)), weight)
 
     fim = (2.0 * snapshots / noise_variance) * np.real(quad * tiled.T)

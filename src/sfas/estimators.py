@@ -268,16 +268,10 @@ def decompose(covariance: CovarianceEstimate, source_count: int) -> SubspaceDeco
     )
 
 
-def _noise_quadratic(noise_basis: np.ndarray):
-    """The MUSIC denominator ||U_n^H a||^2 per manifold column, as a
-    function of the manifold; U_n^H is formed once."""
-    adjoint = noise_basis.conj().T
-
-    def cost(manifold: np.ndarray) -> np.ndarray:
-        proj = adjoint @ manifold
-        return (proj.real**2 + proj.imag**2).sum(axis=0)
-
-    return cost
+def _noise_quadratic(noise_basis: np.ndarray, manifold: np.ndarray) -> np.ndarray:
+    """The MUSIC denominator ||U_n^H a||^2 per manifold column."""
+    proj = noise_basis.conj().T @ manifold
+    return (proj.real**2 + proj.imag**2).sum(axis=0)
 
 
 # An exact-geometry column's signal form ||a||^2 - ||U_s^H a||^2 is within
@@ -321,7 +315,7 @@ def _signal_quadratic(decomp: SubspaceDecomposition):
         values = norms - (proj.real**2 + proj.imag**2).sum(axis=0)
         low = values < floor * norms
         if low.any():
-            values[low] = _noise_quadratic(noise_basis)(manifold[:, low])
+            values[low] = _noise_quadratic(noise_basis, manifold[:, low])
         return values
 
     return cost
@@ -742,7 +736,7 @@ class _GridCost:
     per-column `terms` of its G columns (their `_squared_norms`, or their
     `_transform_gram`) to G values (the MUSIC denominator or the
     rank-reduction eigenvalue).  `cells` evaluates lattice cells from the
-    steering-column cache, whose stores keep the terms too."""
+    steering-column cache, whose stores are kept per lattice and term."""
 
     column_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     config: ArrayConfig
@@ -761,8 +755,8 @@ class _GridCost:
         width and offset of the batch (OpenBLAS did for 178 of 522 batches
         tried at M = 32), so a change to which cells a walk asks for
         together moves the last bits of costs whose columns stay fixed.
-        Missing columns, and their terms, are computed once."""
-        store = _lattice_columns(self.config, angles_deg.tobytes(), ranges.tobytes())
+        Missing columns and their terms are computed once, together."""
+        store = _lattice_columns(self.config, self.terms, angles_deg.tobytes(), ranges.tobytes())
         miss = store.slots[rows, cols] < 0
         if miss.any():
             r, c = rows[miss], cols[miss]
@@ -770,9 +764,9 @@ class _GridCost:
             count = store.columns.shape[1]
             store.slots[r, c] = np.arange(count, count + new.shape[1])
             store.columns = np.concatenate((store.columns, new), axis=1)
+            store.terms = np.concatenate((store.terms, self.terms(new)))
         slots = store.slots[rows, cols]
-        terms = store.column_terms(self.terms)[slots]
-        return self.column_cost(np.take(store.columns, slots, axis=1), terms)
+        return self.column_cost(np.take(store.columns, slots, axis=1), store.terms[slots])
 
 
 # Lattices whose exact-geometry columns stay cached.  A 4-source campaign
@@ -783,35 +777,26 @@ _CACHED_LATTICES = 32
 
 @dataclass
 class _LatticeColumns:
-    """Exact-geometry steering columns of one lattice.  `slots` is -1 for a
-    cell until its column is computed and then the column's index in
-    `columns`, where new columns are appended in request order: the store
-    holds one column per distinct cell requested.  `terms` maps a
-    per-column function (`_squared_norms`, `_transform_gram`) to its values
-    on the first columns, one row each; as columns are only appended,
-    `column_terms` extends that prefix when a cost asks, so a lattice
-    computes only the terms of the costs that search it, each once per
-    column."""
+    """Exact-geometry steering columns of one lattice and one cost's
+    per-column terms.  `slots` is -1 for a cell until its column is
+    computed and then the column's index in `columns`, where new columns
+    are appended in request order, and their `terms` rows with them: the
+    store holds one column per distinct cell requested."""
 
     slots: np.ndarray
     columns: np.ndarray
-    terms: dict = field(default_factory=dict)
-
-    def column_terms(self, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """`term` of every stored column, one row per column."""
-        done = self.terms.get(term)
-        if done is None or len(done) < self.columns.shape[1]:
-            new = term(self.columns[:, 0 if done is None else len(done):])
-            self.terms[term] = done = new if done is None else np.concatenate((done, new))
-        return done
+    terms: np.ndarray
 
 
 @functools.lru_cache(maxsize=_CACHED_LATTICES)
-def _lattice_columns(config: ArrayConfig, angle_bytes: bytes, range_bytes: bytes):
-    """The column store of the lattice whose float64 axes (angles in
-    degrees, ranges) have these bytes."""
+def _lattice_columns(config: ArrayConfig, term, angle_bytes: bytes, range_bytes: bytes):
+    """The column store, holding the `term` of each column (`_squared_norms`
+    or `_transform_gram`), of the lattice whose float64 axes (angles in
+    degrees, ranges) have these bytes: a lattice that two costs with
+    different terms search has a store for each."""
     shape = (np.frombuffer(angle_bytes).size, np.frombuffer(range_bytes).size)
-    return _LatticeColumns(np.full(shape, -1), np.empty((config.element_count, 0), complex))
+    columns = np.empty((config.element_count, 0), complex)
+    return _LatticeColumns(np.full(shape, -1), columns, term(columns))
 
 
 def _on_mesh(cost, angles_rad: np.ndarray, ranges: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from sfas.coupling import (
     gamma_matrix,
     selection_matrix,
 )
-from sfas.geometry import ArrayConfig
+from sfas.geometry import ArrayConfig, ff_manifold
 
 
 class TestCouplingCoefficient:
@@ -169,6 +169,46 @@ class TestDecouplingResidual:
         cfg = ArrayConfig(16, 0.5, 0.2)
         model = CouplingModel(band=2, symmetric=True)
         assert decoupling_residual([0.3, -0.5, 0.9], cfg, model, 1) > 1e-3
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_selection_matrix_form(self, data):
+        """Slicing the central rows gives the bytes of
+        F @ (C @ A) - (F @ A) @ Gamma, either convention, any trim."""
+        band = data.draw(st.integers(0, 3), "band")
+        trim = data.draw(st.integers(0, 4), "trim")
+        m = data.draw(st.integers(max(2 * trim + 2, band + 1), 40), "elements")
+        cfg = ArrayConfig(m, 0.5, data.draw(st.floats(0.1, 2.0), "scale"))
+        model = CouplingModel(
+            reference_strength=data.draw(st.floats(0.0, 0.9), "strength"),
+            decay=data.draw(st.floats(0.0, 2.0), "decay"),
+            phase_offset=data.draw(st.floats(-np.pi, np.pi), "phase"),
+            band=band,
+            symmetric=data.draw(st.booleans(), "symmetric"),
+        )
+        angles = np.array(data.draw(
+            st.lists(st.floats(-np.pi / 2, np.pi / 2), min_size=1, max_size=5), "angles"
+        ))
+        sel, manifold = selection_matrix(m, trim), ff_manifold(angles, cfg)
+        oracle = sel @ (coupling_matrix(cfg, model) @ manifold) - (sel @ manifold) @ gamma_matrix(
+            angles, cfg, model
+        )
+        residual = decoupling_residual(angles, cfg, model, trim)
+        assert residual.hex() == float(np.linalg.norm(oracle)).hex()
+
+    @pytest.mark.parametrize("m, trim, message", [
+        (6, -1, "trim must be >= 0, got -1"),
+        (6, 3, "trim 3 leaves 0 central elements; need at least 2"),
+        (5, 2, "trim 2 leaves 1 central elements; need at least 2"),
+    ])
+    def test_bad_trim_raises_the_selection_message(self, m, trim, message):
+        # the trim is checked before the band, which is beyond the array too
+        model = CouplingModel(band=m)
+        with pytest.raises(ValueError) as selecting:
+            selection_matrix(m, trim)
+        with pytest.raises(ValueError) as residual:
+            decoupling_residual([0.1], ArrayConfig(m, 0.5, 0.2), model, trim)
+        assert str(selecting.value) == str(residual.value) == message
 
     def test_largest_array_fits_in_the_child_memory(self):
         # selecting after coupling keeps each product (M - 2*trim) x K; F @ C

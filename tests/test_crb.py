@@ -6,6 +6,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from conftest import cli_digest
 from sfas.crb import (
     _invert_with_markers,
+    _steering_and_jacobian,
     crb,
     crb_for_scenario,
     fisher_information,
@@ -14,6 +15,7 @@ from sfas.crb import (
 from sfas.geometry import (
     ArrayConfig,
     SourceTruth,
+    _centered_positions,
     array_center,
     element_positions,
     esg_steering_centered,
@@ -112,7 +114,51 @@ class TestSteeringJacobian:
         np.testing.assert_allclose(d_range[1:], fd_r[1:], rtol=1e-4)
 
 
+def fisher_oracle(sources, config, snapshots, noise_variance):
+    """The Fisher matrix with its weight W = R_s A^H R^-1 A R_s solved against
+    the M x M covariance R = A R_s A^H + sigma^2 I, and the condition number
+    of R_s A^H A + sigma^2 I."""
+    parts = [_steering_and_jacobian(src, _centered_positions(config)) for src in sources]
+    manifold = np.column_stack([part[0] for part in parts])
+    deriv = np.column_stack([part[1] for part in parts] + [part[2] for part in parts])
+    gram = manifold.conj().T @ manifold
+    proj_deriv = deriv - manifold @ (np.linalg.pinv(gram) @ (manifold.conj().T @ deriv))
+    powers = np.diag([src.power for src in sources])
+    cov = manifold @ powers @ manifold.conj().T + noise_variance * np.eye(config.element_count)
+    weight = powers @ manifold.conj().T @ np.linalg.solve(cov, manifold) @ powers
+    fim = np.real((deriv.conj().T @ proj_deriv) * np.kron(np.ones((2, 2)), weight).T)
+    fim *= 2.0 * snapshots / noise_variance
+    kappa = np.linalg.cond(powers @ gram + noise_variance * np.eye(len(sources)))
+    return 0.5 * (fim + fim.T), kappa
+
+
 class TestFisherAndCrb:
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fisher_matches_the_full_covariance_form(self, data):
+        """The K x K weight is the M x M form's, to rounding: within 1e-11
+        relative (max-norm), or, on scenes whose sources the array cannot
+        resolve (K >= M, or sources close at high SNR), within the 16 eps
+        kappa(R_s A^H A + sigma^2 I) that rounding A^H A alone moves both by."""
+        m = data.draw(st.integers(2, 64), "M")
+        k = data.draw(st.integers(1, 4), "K")
+        config = ArrayConfig(m, 0.5, data.draw(st.sampled_from((0.2, 1.0, 2.0, 4.0)), "scale"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        sources = tuple(
+            SourceTruth(angle, distance, power)
+            for angle, distance, power in zip(
+                np.deg2rad(rng.uniform(-80.0, 80.0, k)),
+                10.0 ** rng.uniform(0.5, 5.0, k),
+                10.0 ** rng.uniform(-2.0, 2.0, k),
+            )
+        )
+        noise_variance = 10.0 ** data.draw(st.floats(-4.0, 3.0), "log10 noise")
+        snapshots = data.draw(st.integers(1, 1000), "N")
+        block = fisher_information(sources, config, snapshots, noise_variance)
+        oracle, kappa = fisher_oracle(sources, config, snapshots, noise_variance)
+        tol = max(1e-11, 16 * np.finfo(float).eps * kappa)
+        assert np.abs(block.matrix - oracle).max() <= tol * np.abs(oracle).max()
+
     def test_fisher_symmetric(self):
         sources = (
             SourceTruth.from_degrees(-20.0, 60.0),

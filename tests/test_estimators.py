@@ -938,7 +938,7 @@ class TestSpectrumSanity:
         manifold = 10.0**exponent * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         proj = basis.conj().T @ manifold
         oracle = np.einsum("ij,ij->j", proj.conj(), proj).real
-        assert estimators._noise_quadratic(basis)(manifold).tobytes() == oracle.tobytes()
+        assert estimators._noise_quadratic(basis, manifold).tobytes() == oracle.tobytes()
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(
@@ -960,7 +960,7 @@ class TestSpectrumSanity:
         manifold = 10.0**exponent * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         oracle = [np.linalg.norm(basis.conj().T @ column) ** 2 for column in manifold.T]
         scale = np.linalg.norm(basis) ** 2 * np.linalg.norm(manifold, axis=0) ** 2
-        error = np.abs(estimators._noise_quadratic(basis)(manifold) - oracle)
+        error = np.abs(estimators._noise_quadratic(basis, manifold) - oracle)
         assert np.all(error <= 8 * m * np.finfo(float).eps * scale)
 
 
@@ -988,7 +988,7 @@ class TestLagSums:
         proj = noise @ noise.conj().T
         largest = max(abs(np.trace(proj, offset=lag)) for lag in range(size))
         tol = 8.0 * size**2 * np.finfo(float).eps * largest
-        oracle = estimators._noise_quadratic(noise)(rows)
+        oracle = estimators._noise_quadratic(noise, rows)
         np.testing.assert_allclose(
             estimators._lag_sum_cost(noise, manifold), oracle, rtol=0.0, atol=tol
         )
@@ -1012,7 +1012,7 @@ class TestLagSums:
             central = sample_covariance(block).matrix[trim : m - trim, trim : m - trim]
             noise = decompose(CovarianceEstimate(central, 200), k).noise_basis
             rows = ff_manifold(np.deg2rad(grid), block.config)[trim : m - trim]
-            oracle = estimators._spectrum(estimators._noise_quadratic(noise)(rows))
+            oracle = estimators._spectrum(estimators._noise_quadratic(noise, rows))
             peaks = find_spectrum_peaks(grid, scan.values, k)
             assert peaks.tolist() == find_spectrum_peaks(grid, oracle, k).tolist()
             assert peaks.tolist() == sorted(angles)
@@ -1057,7 +1057,7 @@ class TestSignalForm:
         norms = estimators._squared_norms(manifold)
         with mock.patch.object(estimators, "_CANCELLATION_PER_ELEMENT", -np.inf):
             signal = estimators._signal_quadratic(decomp)(manifold, norms)
-        noise = estimators._noise_quadratic(decomp.noise_basis)(manifold)
+        noise = estimators._noise_quadratic(decomp.noise_basis, manifold)
         m = manifold.shape[0]
         assert np.all(np.abs(signal - noise) <= 8 * m * np.finfo(float).eps * norms)
 
@@ -1071,7 +1071,7 @@ class TestSignalForm:
             signal = estimators._signal_quadratic(decomp)(manifold, norms)
         low = signal < estimators._CANCELLATION_PER_ELEMENT * manifold.shape[0] * norms
         # the fallback's product holds the low columns alone
-        fallback = estimators._noise_quadratic(decomp.noise_basis)(manifold[:, low])
+        fallback = estimators._noise_quadratic(decomp.noise_basis, manifold[:, low])
         assert values[low].tobytes() == fallback.tobytes()
         assert values[~low].tobytes() == signal[~low].tobytes()
         assert np.all(values >= 0.0)
@@ -1091,7 +1091,7 @@ class TestSignalForm:
         ) as fallback:
             values = _plain_cost(decomp, config)(*cells)
         assert fallback.call_count == 1
-        oracle = noise_quadratic(decomp.noise_basis)(manifold[:, :1])
+        oracle = noise_quadratic(decomp.noise_basis, manifold[:, :1])
         assert values[0] == oracle[0] and values[0] < 1e-20
         norms = estimators._squared_norms(manifold)
         assert np.all(values[1:] >= estimators._CANCELLATION_PER_ELEMENT * 32 * norms[1:])
@@ -1102,8 +1102,7 @@ class TestSignalForm:
         """A column's ||a||^2 and band-2 Gram T^H T, served from a store
         filled in random batches by either cost, or computed in any batch of
         fresh columns, have the bytes of its terms in the whole lattice's
-        batch, a lone column included.  A cost that asks after the other
-        filled columns extends its terms over them."""
+        batch, a lone column included."""
         clear_steering_caches()
         config = ArrayConfig(data.draw(st.integers(2, 64), "M"), 0.5, 2.0)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
@@ -1131,11 +1130,12 @@ class TestSignalForm:
         )
         for term, values in zip(terms, whole):
             assert term(fresh).tobytes() == values[start:stop].tobytes()
-        # the store's terms cover every column it holds, in slot order
-        store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+        # each cost's store holds the terms of the cells it holds, in slot order
         for term, values in zip(terms, whole):
-            served_terms = store.column_terms(term)[store.slots[rows, cols]]
-            assert served_terms.tobytes() == values.tobytes()
+            store = estimators._lattice_columns(config, term, angles.tobytes(), ranges.tobytes())
+            held = np.flatnonzero(store.slots >= 0)
+            held = held[np.argsort(store.slots.ravel()[held])]
+            assert store.terms.tobytes() == values[held].tobytes()
 
 
 @st.composite
@@ -1239,6 +1239,12 @@ class TestColumnCache:
     """Steering columns served from the cache are the bytes computed afresh."""
 
     @staticmethod
+    def plain_store(config, angles, ranges):
+        """The store of the plain cost's lattice with these axes."""
+        term = estimators._squared_norms
+        return estimators._lattice_columns(config, term, angles.tobytes(), ranges.tobytes())
+
+    @staticmethod
     def assert_one_column_per_cell(store, cells=()):
         """The memory bound: a store holds the columns of the cells it was
         asked for (`cells` among them) and no others."""
@@ -1275,7 +1281,7 @@ class TestColumnCache:
             fresh = esg_manifold_centered(np.deg2rad(angles[rows]), ranges[cols], config)
             assert served.flags["C_CONTIGUOUS"] and served.shape == fresh.shape
             assert served.tobytes() == fresh.tobytes()
-            store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+            store = self.plain_store(config, angles, ranges)
             self.assert_one_column_per_cell(store, zip(rows, cols))
         assert estimators._lattice_columns.cache_info().currsize == _CACHED_LATTICES
 
@@ -1384,8 +1390,33 @@ class TestColumnCache:
         assert len(served) == 4 * 8 * len(lattices) and all(served)
         assert sum(counted) == 36 * len(lattices)
         for angles in lattices:
-            store = estimators._lattice_columns(config, angles.tobytes(), ranges.tobytes())
+            store = self.plain_store(config, angles, ranges)
             self.assert_one_column_per_cell(store, zip(rows, cols))
+
+    def test_costs_with_different_terms_keep_a_store_each(self, monkeypatch):
+        # the plain cost keeps ||a||^2 and the band-2 cost T^H T: on the same
+        # axes each has its own store, holding the cells it asked for alone,
+        # so a cell both ask for is computed once for each
+        config = ArrayConfig(16, 0.5, 2.0)
+        angles, ranges = np.linspace(-30.0, 30.0, 7), np.geomspace(20.0, 2000.0, 5)
+        sources = esg_manifold_centered(np.deg2rad([-20.0, 10.0]), np.array([300.0, 1e3]), config)
+        decomp = decompose(CovarianceEstimate(sources @ sources.conj().T + np.eye(16), 100), 2)
+        costs = {
+            estimators._squared_norms: (_plain_cost(decomp, config), [0, 3, 8, 34]),
+            estimators._transform_gram: (_mc_cost(decomp, 2, config), [3, 9, 20]),
+        }
+        clear_steering_caches()
+        counted = self.count_columns(monkeypatch)
+        for cost, cells in costs.values():
+            rows, cols = np.divmod(np.array(cells), len(ranges))
+            served = cost.cells(angles, ranges, rows, cols)
+            assert served.tobytes() == cost(np.deg2rad(angles[rows]), ranges[cols]).tobytes()
+        assert estimators._lattice_columns.cache_info().currsize == 2
+        assert sum(counted) == 2 * (4 + 3)  # the stores', then the uncached calls'
+        for term, (_, cells) in costs.items():
+            store = estimators._lattice_columns(config, term, angles.tobytes(), ranges.tobytes())
+            self.assert_one_column_per_cell(store)
+            assert np.flatnonzero(store.slots >= 0).tolist() == cells
 
     def test_far_field_manifold_is_read_only(self):
         config = ArrayConfig(8)
